@@ -26,29 +26,33 @@
 //!
 //! ## Seeded schedule exploration
 //!
-//! For `glto-det`, a case is not one run but a **seed sweep**
-//! ([`sweep_det`]): each u64 seed fully determines the interleaving, so a
-//! failing seed printed by the sweep is a complete reproduction recipe —
-//! [`replay_det`] reruns it, [`det_fingerprint`] proves two replays take
-//! the identical schedule, and [`shrink_det`] binary-searches the smallest
+//! For `glto-det` (and `omp-adaptive` over the det ULT engine), a case is
+//! not one run but a **seed sweep** ([`sweep_det`] over a [`DetTarget`]):
+//! each u64 seed fully determines the interleaving, so a failing seed
+//! printed by the sweep is a complete reproduction recipe — [`run_det`]
+//! replays it, [`det_fingerprint`] proves two replays take the identical
+//! schedule, and [`shrink_det`] binary-searches the smallest
 //! randomized-decision budget that still fails, pinning the failure to a
 //! minimal prefix of schedule decisions.
 //!
-//! The planted-bug cases [`planted_lost_update`] (an intentionally racy
-//! read-yield-write task pair) and [`planted_depend_race`] (the same pair
-//! with its `depend` clauses deliberately weakened from `inout` to `in`)
-//! exist to prove the explorer has teeth: the sweep must find seeds that
-//! expose the lost update, and the failure must replay and shrink. The
-//! second one makes the sweep the race detector for the task core's
-//! dependency resolver. See `TESTING.md` at the repository root.
+//! The explorer is shown to have teeth by a table of **planted defects**
+//! (the `tests` module's `PLANTED`), one driver catching, replaying and
+//! shrinking each: two intentionally wrong cases ([`planted_lost_update`],
+//! a racy read-yield-write task pair, and [`planted_depend_race`], the same
+//! pair with its `depend` clauses weakened from `inout` to `in`) and one
+//! row per [`glt::fault`] point, armed on the runtime under test. Every
+//! fault also has a foreign-arm row: armed on a *different* runtime, it
+//! must never fire. See `TESTING.md` at the repository root.
 
 #![warn(missing_docs)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use glt::CounterSnapshot;
+use glt::fault::{self, Fault};
+use glt::{CounterSnapshot, GltRuntime};
 use glt_det::EventKind;
 use glto::{Backend, GltoRuntime};
 use omp::{Dep, LockKind, OmpConfig, OmpLock, OmpNestLock, OmpRuntime, OmpRuntimeExt, Schedule};
@@ -143,6 +147,78 @@ pub fn run_case_cfg(
 
 // --------------------------------------------------------- seeded sweeps
 
+/// Which runtime a deterministic run builds over the `glt-det` backend.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Engine {
+    /// `glto-det`: GLTO over the seeded stepper.
+    Glto,
+    /// `omp-adaptive` with the det ULT engine ([`AdaptiveRuntime::with_backend`]
+    /// with [`Backend::Det`]): every mechanism decision the dispatcher
+    /// takes — each probe's engine pick and the final commit — is a seeded
+    /// stepper draw recorded as [`EventKind::External`], and every run ends
+    /// with the commit-consistency audit ([`DetRun::wrong_commits`]).
+    Adaptive,
+}
+
+/// What a deterministic run executes on: the engine, its [`OmpConfig`]
+/// (how sweeps are parameterized over synthetic topologies and binding
+/// policies without touching process-wide environment variables), and the
+/// fault, if any, armed on the runtime under test before the case runs.
+/// A failing seed replays only under the identical target.
+#[derive(Debug, Clone)]
+pub struct DetTarget {
+    /// Runtime built per run.
+    pub engine: Engine,
+    /// Its configuration.
+    pub cfg: OmpConfig,
+    /// Fault armed on that runtime instance (see [`glt::fault`]).
+    pub arm: Option<Fault>,
+}
+
+impl DetTarget {
+    /// `glto-det` with `threads` GLT_threads, nothing armed.
+    #[must_use]
+    pub fn glto(threads: usize) -> Self {
+        DetTarget { engine: Engine::Glto, cfg: OmpConfig::with_threads(threads), arm: None }
+    }
+
+    /// `omp-adaptive` over the det ULT engine, nothing armed.
+    #[must_use]
+    pub fn adaptive(threads: usize) -> Self {
+        DetTarget { engine: Engine::Adaptive, ..Self::glto(threads) }
+    }
+
+    /// This target with its config adjusted by `f` (topology, binding…).
+    #[must_use]
+    pub fn cfg(mut self, f: impl FnOnce(OmpConfig) -> OmpConfig) -> Self {
+        self.cfg = f(self.cfg);
+        self
+    }
+
+    /// This target with `fault` armed on each run's runtime.
+    #[must_use]
+    pub fn arm(mut self, fault: Fault) -> Self {
+        self.arm = Some(fault);
+        self
+    }
+}
+
+/// The runtime under test of one deterministic run.
+enum Under {
+    Glto(Arc<GltoRuntime>),
+    Adaptive(Arc<AdaptiveRuntime>),
+}
+
+impl Under {
+    fn parts(&self) -> (&dyn OmpRuntime, &glt_det::DetScheduler, &glt::Faults) {
+        const DET: &str = "Det backend exposes its scheduler";
+        match self {
+            Under::Glto(r) => (&**r, r.det_scheduler().expect(DET), r.glt().faults()),
+            Under::Adaptive(r) => (&**r, r.det_scheduler().expect(DET), r.faults()),
+        }
+    }
+}
+
 /// Outcome of one deterministic run of a case.
 #[derive(Debug, Clone)]
 pub struct DetRun {
@@ -158,32 +234,56 @@ pub struct DetRun {
     pub stalled: bool,
     /// Counter conservation-law violations after quiesce.
     pub violations: Vec<String>,
-    /// Randomized decisions actually drawn.
+    /// Randomized scheduling decisions actually drawn.
     pub decisions: u64,
+    /// The `(callsite, pick)` stream of adaptive decisions, in master-thread
+    /// program order (empty on [`Engine::Glto`]). Replays of the same seed
+    /// must produce the identical stream — the determinism guarantee the
+    /// OS-probe regions (whose pomp threads free-run) cannot disturb.
+    pub external: Vec<(u64, usize)>,
+    /// Commit-consistency audit failures (see [`audit_commits`]; empty =
+    /// every committed memo entry matches its seeded commit draw).
+    pub wrong_commits: Vec<String>,
 }
 
 impl DetRun {
-    /// Conforming run: case passed, no stall, no invariant violation.
+    /// Conforming run: case passed, no stall, laws hold, and every commit
+    /// matches its seeded draw.
     #[must_use]
     pub fn passed(&self) -> bool {
-        self.ok && !self.panicked && !self.stalled && self.violations.is_empty()
+        self.ok
+            && !self.panicked
+            && !self.stalled
+            && self.violations.is_empty()
+            && self.wrong_commits.is_empty()
+    }
+
+    /// A budget that reproduces this run exactly: no more randomized draws
+    /// (scheduling or adaptive) were taken than this.
+    #[must_use]
+    pub fn draws(&self) -> u64 {
+        self.decisions.max(self.external.len() as u64)
     }
 }
 
-/// Run `case` once under `glto-det` with the given seed and
-/// randomized-decision budget (`u64::MAX` = fully randomized).
+/// Run `case` once on `target` with the given seed and randomized-decision
+/// budget (`u64::MAX` = fully randomized). Re-running a failing seed at
+/// `u64::MAX` is its replay: the same seed reproduces the same verdict,
+/// decision count and decision stream.
 #[must_use]
-pub fn run_det_once(case: Case, threads: usize, seed: u64, budget: u64) -> DetRun {
-    run_det_once_cfg(case, &OmpConfig::with_threads(threads), seed, budget)
-}
-
-/// [`run_det_once`] with an explicit [`OmpConfig`] — how the seed sweep is
-/// parameterized over synthetic topologies (`OmpConfig::topology`) and
-/// binding policies without touching process-wide environment variables.
-#[must_use]
-pub fn run_det_once_cfg(case: Case, cfg: &OmpConfig, seed: u64, budget: u64) -> DetRun {
-    let rt = GltoRuntime::new(Backend::Det { seed, max_random_decisions: budget }, cfg.clone());
-    let outcome = catch_unwind(AssertUnwindSafe(|| case(&*rt)));
+pub fn run_det(case: Case, target: &DetTarget, seed: u64, budget: u64) -> DetRun {
+    let backend = Backend::Det { seed, max_random_decisions: budget };
+    let under = match target.engine {
+        Engine::Glto => Under::Glto(GltoRuntime::new(backend, target.cfg.clone())),
+        Engine::Adaptive => {
+            Under::Adaptive(AdaptiveRuntime::with_backend(backend, target.cfg.clone()))
+        }
+    };
+    let (rt, det, faults) = under.parts();
+    if let Some(f) = target.arm {
+        faults.arm(f);
+    }
+    let outcome = catch_unwind(AssertUnwindSafe(|| case(rt)));
     let (ok, panicked) = match outcome {
         Ok(b) => (b, false),
         Err(_) => (false, true),
@@ -191,9 +291,20 @@ pub fn run_det_once_cfg(case: Case, cfg: &OmpConfig, seed: u64, budget: u64) -> 
     let violations = if panicked {
         Vec::new() // mid-unwind counters are legitimately mid-flight
     } else {
-        check_counter_invariants(&*rt)
+        check_counter_invariants(rt)
     };
-    let det = rt.det_scheduler().expect("Det backend exposes its scheduler");
+    let external: Vec<(u64, usize)> = det
+        .events()
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            EventKind::External { tag, pick } => Some((tag, pick)),
+            _ => None,
+        })
+        .collect();
+    let wrong_commits = match &under {
+        Under::Adaptive(a) => audit_commits(&a.decisions(), &external),
+        Under::Glto(_) => Vec::new(),
+    };
     DetRun {
         seed,
         budget,
@@ -202,6 +313,8 @@ pub fn run_det_once_cfg(case: Case, cfg: &OmpConfig, seed: u64, budget: u64) -> 
         stalled: det.stalled(),
         violations,
         decisions: det.decisions(),
+        external,
+        wrong_commits,
     }
 }
 
@@ -214,7 +327,7 @@ pub struct SweepReport {
     pub threads: usize,
     /// Seeds run.
     pub seeds_run: usize,
-    /// Seeds whose run failed (case false/panic/stall/invariant).
+    /// Seeds whose run failed (case false/panic/stall/invariant/audit).
     pub failing: Vec<u64>,
 }
 
@@ -226,40 +339,34 @@ impl SweepReport {
     }
 }
 
-/// Sweep `case` across `seeds` under `glto-det`. Every failing seed is
-/// printed with a replay recipe — the seed alone reproduces the schedule.
+/// Sweep `case` on `target` across `seeds`. Every failing seed is printed
+/// with a replay recipe — the seed (plus the target) alone reproduces the
+/// schedule.
 pub fn sweep_det(
     name: &str,
     case: Case,
-    threads: usize,
+    target: &DetTarget,
     seeds: impl IntoIterator<Item = u64>,
 ) -> SweepReport {
-    sweep_det_cfg(name, case, &OmpConfig::with_threads(threads), seeds)
-}
-
-/// [`sweep_det`] with an explicit [`OmpConfig`]: the same seeds explore the
-/// same cases under a synthetic topology / binding policy (the replay
-/// recipe then needs the config too — pass the identical one to
-/// [`replay_det_cfg`] / [`shrink_det_cfg`]).
-pub fn sweep_det_cfg(
-    name: &str,
-    case: Case,
-    cfg: &OmpConfig,
-    seeds: impl IntoIterator<Item = u64>,
-) -> SweepReport {
-    let threads = cfg.num_threads;
+    let threads = target.cfg.num_threads;
     let mut failing = Vec::new();
     let mut seeds_run = 0;
     for seed in seeds {
         seeds_run += 1;
-        let run = run_det_once_cfg(case, cfg, seed, u64::MAX);
+        let run = run_det(case, target, seed, u64::MAX);
         if !run.passed() {
             eprintln!(
-                "conformance: case `{name}` FAILED on glto-det \
-                 (seed={seed} threads={threads} ok={} panicked={} stalled={} violations={:?})\n\
-                 conformance: replay with RuntimeKind::GltoDet {{ seed: {seed} }} \
-                 or conformance::replay_det_cfg(case, &cfg, {seed})",
-                run.ok, run.panicked, run.stalled, run.violations
+                "conformance: case `{name}` FAILED on {:?}(det) armed={:?} \
+                 (seed={seed} threads={threads} ok={} panicked={} stalled={} violations={:?} \
+                 wrong_commits={:?})\n\
+                 conformance: replay with conformance::run_det(case, &target, {seed}, u64::MAX)",
+                target.engine,
+                target.arm,
+                run.ok,
+                run.panicked,
+                run.stalled,
+                run.violations,
+                run.wrong_commits
             );
             failing.push(seed);
         }
@@ -287,44 +394,25 @@ pub fn seeds_from_env(default_n: usize) -> usize {
         .max(1)
 }
 
-/// Re-run a failing seed at full randomness. Returns the run outcome; the
-/// same seed must reproduce the same verdict (see [`det_fingerprint`] for
-/// the stronger schedule-identity check).
-#[must_use]
-pub fn replay_det(case: Case, threads: usize, seed: u64) -> DetRun {
-    run_det_once(case, threads, seed, u64::MAX)
-}
-
-/// [`replay_det`] with an explicit [`OmpConfig`] (must match the sweep's).
-#[must_use]
-pub fn replay_det_cfg(case: Case, cfg: &OmpConfig, seed: u64) -> DetRun {
-    run_det_once_cfg(case, cfg, seed, u64::MAX)
-}
-
 /// Shrink a failing seed: binary-search the smallest randomized-decision
-/// budget that still fails. After the budget, every schedule decision falls
-/// back to the fixed first alternative, so the returned budget bounds the
-/// prefix of "interesting" decisions needed to trigger the failure.
-/// Returns `None` if the seed does not fail at full randomness.
+/// budget that still fails. After the budget, every decision — scheduler
+/// and adaptive — falls back to the fixed first alternative, so the
+/// returned budget bounds the prefix of "interesting" decisions needed to
+/// trigger the failure. Returns `None` if the seed does not fail at full
+/// randomness.
 #[must_use]
-pub fn shrink_det(case: Case, threads: usize, seed: u64) -> Option<u64> {
-    shrink_det_cfg(case, &OmpConfig::with_threads(threads), seed)
-}
-
-/// [`shrink_det`] with an explicit [`OmpConfig`] (must match the sweep's).
-#[must_use]
-pub fn shrink_det_cfg(case: Case, cfg: &OmpConfig, seed: u64) -> Option<u64> {
-    let full = run_det_once_cfg(case, cfg, seed, u64::MAX);
+pub fn shrink_det(case: Case, target: &DetTarget, seed: u64) -> Option<u64> {
+    let full = run_det(case, target, seed, u64::MAX);
     if full.passed() {
         return None;
     }
-    // Budget == decisions-drawn reproduces the full run exactly; use it as
-    // the known-failing upper bound.
+    // A budget covering every draw of the full run reproduces it exactly;
+    // use it as the known-failing upper bound.
     let mut lo = 0u64;
-    let mut hi = full.decisions;
+    let mut hi = full.draws();
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if run_det_once_cfg(case, cfg, seed, mid).passed() {
+        if run_det(case, target, seed, mid).passed() {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -335,63 +423,17 @@ pub fn shrink_det_cfg(case: Case, cfg: &OmpConfig, seed: u64) -> Option<u64> {
 
 // ------------------------------------------- adaptive mechanism decisions
 
-/// Outcome of one deterministic run of a case on `omp-adaptive` over the
-/// det ULT backend ([`AdaptiveRuntime::with_backend`] with
-/// [`Backend::Det`]). Under that backend every mechanism decision the
-/// dispatcher takes — each probe's engine pick and the final commit — is a
-/// seeded stepper draw recorded as [`EventKind::External`], so the whole
-/// decision history of a run is a pure function of the seed.
-///
-/// Beyond the [`DetRun`]-style verdicts, every run is audited for **commit
-/// consistency**: each committed memo-table entry must match the last
-/// seeded draw recorded for its callsite (the commit draw; `pick == 1` ⇒
-/// ULT). An inconsistent commit means the dispatcher chose a mechanism its
-/// own replayable decision stream did not pick — exactly the wrong-commit
-/// class of bug `--features planted-bad-commit` plants.
-#[derive(Debug, Clone)]
-pub struct AdaptiveDetRun {
-    /// Seed the decision stream was drawn from.
-    pub seed: u64,
-    /// Randomized-decision budget the run was capped at.
-    pub budget: u64,
-    /// The case returned `true`.
-    pub ok: bool,
-    /// The case panicked (counts as a failure).
-    pub panicked: bool,
-    /// The stall watchdog fired (schedule no longer trustworthy).
-    pub stalled: bool,
-    /// Counter conservation-law violations after quiesce.
-    pub violations: Vec<String>,
-    /// The `(callsite, pick)` stream of adaptive decisions, in
-    /// master-thread program order. Replays of the same seed must produce
-    /// the identical stream — that equality is the determinism guarantee
-    /// the OS-probe regions (whose pomp threads free-run) cannot disturb.
-    pub external: Vec<(u64, usize)>,
-    /// Commit-consistency audit failures (empty = every committed entry
-    /// matches its seeded commit draw).
-    pub wrong_commits: Vec<String>,
-}
-
-impl AdaptiveDetRun {
-    /// Conforming run: case passed, no stall, laws hold, and every commit
-    /// matches its seeded draw.
-    #[must_use]
-    pub fn passed(&self) -> bool {
-        self.ok
-            && !self.panicked
-            && !self.stalled
-            && self.violations.is_empty()
-            && self.wrong_commits.is_empty()
-    }
-}
-
-/// The commit-consistency audit behind [`AdaptiveDetRun::wrong_commits`]:
-/// a committed entry's mechanism must equal the **last** external draw
-/// recorded for its callsite — in det mode the commit pick is itself the
-/// final seeded draw of the explore phase. Entries still exploring are
+/// The commit-consistency audit behind [`DetRun::wrong_commits`]: under
+/// the det ULT engine every adaptive decision is a seeded draw, so a
+/// committed entry's mechanism must equal the **last** external draw
+/// recorded for its callsite — the commit pick is itself the final seeded
+/// draw of the explore phase (`pick == 1` ⇒ ULT). An inconsistent commit
+/// means the dispatcher chose a mechanism its own replayable decision
+/// stream did not pick — exactly the wrong-commit class of bug
+/// [`Fault::AdaptiveBadCommit`] plants. Entries still exploring are
 /// skipped; a post-budget fallback draw (`pick == 0`) legitimately commits
-/// the OS mechanism, which is what lets [`shrink_det_adaptive`] bound the
-/// failure to a minimal prefix of real draws.
+/// the OS mechanism, which is what lets [`shrink_det`] bound the failure
+/// to a minimal prefix of real draws.
 fn audit_commits(decisions: &[CallsiteDecision], external: &[(u64, usize)]) -> Vec<String> {
     let mut bad = Vec::new();
     for d in decisions {
@@ -412,123 +454,6 @@ fn audit_commits(decisions: &[CallsiteDecision], external: &[(u64, usize)]) -> V
         }
     }
     bad
-}
-
-/// Run `case` once on `omp-adaptive` with the det ULT backend at the given
-/// seed and randomized-decision budget (`u64::MAX` = fully randomized).
-#[must_use]
-pub fn run_det_adaptive_once(case: Case, threads: usize, seed: u64, budget: u64) -> AdaptiveDetRun {
-    run_det_adaptive_once_cfg(case, &OmpConfig::with_threads(threads), seed, budget)
-}
-
-/// [`run_det_adaptive_once`] with an explicit [`OmpConfig`].
-#[must_use]
-pub fn run_det_adaptive_once_cfg(
-    case: Case,
-    cfg: &OmpConfig,
-    seed: u64,
-    budget: u64,
-) -> AdaptiveDetRun {
-    let rt = AdaptiveRuntime::with_backend(
-        Backend::Det { seed, max_random_decisions: budget },
-        cfg.clone(),
-    );
-    let outcome = catch_unwind(AssertUnwindSafe(|| case(&*rt)));
-    let (ok, panicked) = match outcome {
-        Ok(b) => (b, false),
-        Err(_) => (false, true),
-    };
-    let violations = if panicked {
-        Vec::new() // mid-unwind counters are legitimately mid-flight
-    } else {
-        check_counter_invariants(&*rt)
-    };
-    let det = rt.det_scheduler().expect("Det backend exposes its scheduler");
-    let external: Vec<(u64, usize)> = det
-        .events()
-        .into_iter()
-        .filter_map(|e| match e.kind {
-            EventKind::External { tag, pick } => Some((tag, pick)),
-            _ => None,
-        })
-        .collect();
-    let wrong_commits = audit_commits(&rt.decisions(), &external);
-    AdaptiveDetRun {
-        seed,
-        budget,
-        ok,
-        panicked,
-        stalled: det.stalled(),
-        violations,
-        external,
-        wrong_commits,
-    }
-}
-
-/// Sweep `case` on `omp-adaptive` over the det backend across `seeds`:
-/// every seed fully determines the dispatcher's decision history, and each
-/// run ends with the commit-consistency audit. Failing seeds print a
-/// replay recipe, exactly like [`sweep_det`].
-pub fn sweep_det_adaptive(
-    name: &str,
-    case: Case,
-    threads: usize,
-    seeds: impl IntoIterator<Item = u64>,
-) -> SweepReport {
-    let mut failing = Vec::new();
-    let mut seeds_run = 0;
-    for seed in seeds {
-        seeds_run += 1;
-        let run = run_det_adaptive_once(case, threads, seed, u64::MAX);
-        if !run.passed() {
-            eprintln!(
-                "conformance: case `{name}` FAILED on adaptive(det) \
-                 (seed={seed} threads={threads} ok={} panicked={} stalled={} violations={:?} \
-                 wrong_commits={:?})\n\
-                 conformance: replay with conformance::replay_det_adaptive(case, {threads}, {seed})",
-                run.ok, run.panicked, run.stalled, run.violations, run.wrong_commits
-            );
-            failing.push(seed);
-        }
-    }
-    SweepReport { case_name: name.to_string(), threads, seeds_run, failing }
-}
-
-/// Re-run a failing adaptive seed at full randomness. The same seed must
-/// reproduce the same verdict *and* the same decision stream
-/// ([`AdaptiveDetRun::external`]).
-#[must_use]
-pub fn replay_det_adaptive(case: Case, threads: usize, seed: u64) -> AdaptiveDetRun {
-    run_det_adaptive_once(case, threads, seed, u64::MAX)
-}
-
-/// Shrink a failing adaptive seed: binary-search the smallest
-/// randomized-decision budget that still fails. Past the budget every
-/// draw — scheduler *and* adaptive — falls back to alternative 0 (the OS
-/// pick), so the returned budget bounds the prefix of real seeded
-/// decisions needed to trigger the wrong commit. Returns `None` if the
-/// seed does not fail at full randomness.
-#[must_use]
-pub fn shrink_det_adaptive(case: Case, threads: usize, seed: u64) -> Option<u64> {
-    let full = run_det_adaptive_once(case, threads, seed, u64::MAX);
-    if full.passed() {
-        return None;
-    }
-    // Every adaptive draw in the full run is within its own count; use
-    // that as the known-failing upper bound (the wrong-commit audit only
-    // depends on which adaptive draws are real, which is monotone in the
-    // budget: see `audit_commits`).
-    let mut lo = 0u64;
-    let mut hi = full.external.len() as u64;
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if run_det_adaptive_once(case, threads, seed, mid).passed() {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    Some(hi)
 }
 
 // ----------------------------------------------------------- fingerprints
@@ -886,22 +811,19 @@ pub fn planted_depend_race(rt: &dyn OmpRuntime) -> bool {
     cell.load(Ordering::SeqCst) == 2
 }
 
-/// The planted **lost wakeup** (`--features planted-lost-wakeup`): the MCS
-/// release path is sabotaged to pop one queued waiter *without* granting
-/// it — the classic dropped hand-off. The victim's backstop detects the
-/// orphaned node after ~64 fruitless yields, repairs it, and bumps a
-/// repair counter; this case fails iff a repair happened during its run.
+/// Exposes [`Fault::LockLostWakeup`] (armed on the runtime under test):
+/// the MCS release path pops one queued waiter *without* granting it — the
+/// classic dropped hand-off. The victim's backstop detects the orphaned
+/// node after ~64 fruitless yields, repairs it, and fires the fault; this
+/// case fails iff the fault fired during its run.
 ///
 /// Contention is invited by holding the lock across an explicit scheduling
 /// point, so whether a waiter is queued at release time — and therefore
-/// whether the bug fires — is decided by the det schedule. The 64-seed
-/// sweep must find firing seeds, and a firing seed must replay and shrink.
-/// It is **not** part of [`cases`].
-#[cfg(feature = "planted-lost-wakeup")]
+/// whether the fault fires — is decided by the det schedule. Unarmed, it
+/// passes on every seed. It is **not** part of [`cases`].
 pub fn planted_lost_wakeup(rt: &dyn OmpRuntime) -> bool {
     let lock = OmpLock::with_kind(LockKind::Mcs, 4);
-    let before = omp::planted_repairs();
-    omp::plant_drop_one();
+    let before = fault::fired(Fault::LockLostWakeup);
     rt.parallel(|_| {
         for _ in 0..4 {
             lock.set();
@@ -909,30 +831,25 @@ pub fn planted_lost_wakeup(rt: &dyn OmpRuntime) -> bool {
             lock.unset();
         }
     });
-    omp::planted_repairs() == before
+    fault::fired(Fault::LockLostWakeup) == before
 }
 
-/// The planted **cross-domain starvation** (`--features
-/// planted-cross-starvation`): the det scheduler's hierarchical victim
-/// selection is sabotaged to drop every steal tier beyond the thief's own
-/// domain — a thief whose domain has no work simply finds nothing, the
-/// classic locality-gate liveness bug. A backstop detects the starvation
-/// after repeated fruitless attempts, performs the cross-domain steal
-/// anyway, and bumps a rescue counter; this case fails iff a rescue
-/// happened during its run.
+/// Exposes [`Fault::DetCrossStarvation`] (armed on the runtime under
+/// test): the det scheduler's hierarchical victim selection drops every
+/// steal tier beyond the thief's own domain — a thief whose domain has no
+/// work simply finds nothing, the classic locality-gate liveness bug. A
+/// backstop detects the starvation after repeated fruitless attempts,
+/// performs the cross-domain steal anyway, and fires the fault; this case
+/// fails iff the fault fired during its run.
 ///
 /// Run it under a **multi-domain** synthetic topology (e.g.
-/// `OmpConfig::topology(Topology::parse("2x4x1"))`) via
-/// [`sweep_det_cfg`]: the single-runner task burst lands in the
-/// producer's pool, so every thief in the *other* domain sees only
-/// cross-domain victims and starves until rescued. Under a single-domain
-/// (flat) topology the sabotage is inert — there is no cross tier to
-/// drop — which keeps the armed window harmless to unrelated tests.
-/// It is **not** part of [`cases`].
-#[cfg(feature = "planted-cross-starvation")]
+/// `OmpConfig::topology(Topology::parse("2x4x1"))`): the single-runner
+/// task burst lands in the producer's pool, so every thief in the *other*
+/// domain sees only cross-domain victims and starves until rescued. Under
+/// a single-domain (flat) topology the fault is inert — there is no cross
+/// tier to drop. It is **not** part of [`cases`].
 pub fn planted_cross_starvation(rt: &dyn OmpRuntime) -> bool {
-    let before = glt_det::planted_rescues();
-    glt_det::plant_cross_starvation();
+    let before = fault::fired(Fault::DetCrossStarvation);
     let sink = AtomicU64::new(0);
     rt.parallel(|ctx| {
         let sink = &sink;
@@ -946,8 +863,7 @@ pub fn planted_cross_starvation(rt: &dyn OmpRuntime) -> bool {
             ctx.taskwait();
         });
     });
-    glt_det::unplant_cross_starvation();
-    glt_det::planted_rescues() == before
+    fault::fired(Fault::DetCrossStarvation) == before
 }
 
 // -------------------------------------------------------- service layer
@@ -955,40 +871,14 @@ pub fn planted_cross_starvation(rt: &dyn OmpRuntime) -> bool {
 /// Det-sweepable shape of the multi-tenant accounting hazard: four tenants
 /// complete four jobs each as concurrent tasks on one runtime, every
 /// completion charging its own ledger slot
-/// ([`omp_service::colocated_accounting_probe`]). Clean builds must be
-/// exact on every seed; with `--features planted-tenant-bleed` the ledger
-/// parks the tenant id in a shared scratch cell across a scheduling point,
-/// and seeded schedules that interleave two charges misdirect one. It is
+/// ([`omp_service::colocated_accounting_probe`]). Unarmed runtimes must be
+/// exact on every seed; with [`Fault::TenantBleed`] armed the ledger parks
+/// the tenant id in a shared scratch cell across a scheduling point, and
+/// seeded schedules that interleave two charges misdirect one. It is
 /// **not** part of [`cases`] (the service crate is an optional tenant of
 /// the conformance matrix, not an OpenMP construct).
 pub fn tenant_accounting(rt: &dyn OmpRuntime) -> bool {
     omp_service::colocated_accounting_probe(rt, 4, 4)
-}
-
-/// Per-runtime fault scoping, service-shaped: a co-tenant runtime arms the
-/// planted lost wakeup in *its* lock scope and goes away; this tenant's
-/// contended MCS hand-offs must be untouched (repairs in its own scope
-/// stay flat). All-green across the sweep = the `omp::lock` fault statics
-/// are really per-runtime now. It is **not** part of [`cases`].
-#[cfg(feature = "planted-lost-wakeup")]
-pub fn planted_lost_wakeup_foreign_arm(rt: &dyn OmpRuntime) -> bool {
-    {
-        // Building the co-tenant installs its waiter innermost on this
-        // thread, so the arm lands in the co-tenant's cell only.
-        let foreign = RuntimeKind::GltoAbt.build(OmpConfig::with_threads(2));
-        omp::plant_drop_one();
-        drop(foreign);
-    }
-    let lock = OmpLock::with_kind(LockKind::Mcs, 4);
-    let before = omp::planted_repairs();
-    rt.parallel(|_| {
-        for _ in 0..4 {
-            lock.set();
-            glt::coop::yield_to_scheduler();
-            lock.unset();
-        }
-    });
-    omp::planted_repairs() == before
 }
 
 /// Commit-heavy adaptive workload: drives two distinct callsites — one
@@ -997,8 +887,8 @@ pub fn planted_lost_wakeup_foreign_arm(rt: &dyn OmpRuntime) -> bool {
 /// forking on the committed path. On `omp-adaptive` this exercises the
 /// full memo-table lifecycle; on every other runtime it is an ordinary
 /// fork/task loop. Used by the adaptive det sweep, where the
-/// [`AdaptiveDetRun`] commit-consistency audit turns any wrong commit
-/// (planted or real) into a failing, replayable, shrinkable seed.
+/// commit-consistency audit ([`DetRun::wrong_commits`]) turns any wrong
+/// commit (injected or real) into a failing, replayable, shrinkable seed.
 pub fn adaptive_commit_storm(rt: &dyn OmpRuntime) -> bool {
     let hits = AtomicU64::new(0);
     let hits = &hits;
@@ -1189,7 +1079,12 @@ mod tests {
         fast_stall();
         // 64 seeds over a fork-heavy case at threads=4: schedule
         // exploration specifically around the one-call batched enqueue.
-        let report = sweep_det("batched-fork", case_batched_fork, 4, seed_stream(0xBA7C, 64));
+        let report = sweep_det(
+            "batched-fork",
+            case_batched_fork,
+            &DetTarget::glto(4),
+            seed_stream(0xBA7C, 64),
+        );
         assert!(
             report.all_passed(),
             "batched-fork failed seeds {:?} of {} swept",
@@ -1203,7 +1098,8 @@ mod tests {
         fast_stall();
         let per_case = seeds_from_env(256).div_ceil(cases().len());
         for (i, (name, case)) in cases().into_iter().enumerate() {
-            let report = sweep_det(name, case, 3, seed_stream(i as u64, per_case));
+            let report =
+                sweep_det(name, case, &DetTarget::glto(3), seed_stream(i as u64, per_case));
             assert!(
                 report.all_passed(),
                 "case `{}` failed seeds {:?} of {} swept",
@@ -1234,69 +1130,133 @@ mod tests {
         assert!(logs.len() >= 2, "8 seeds produced {} distinct schedules", logs.len());
     }
 
+    // ------------------------------------------------- planted defects
+
+    /// One planted defect: the case that exposes it, the target it runs on
+    /// (with its fault, if any, armed on the runtime under test), and the
+    /// detector that must flag the failing replay.
+    struct Planted {
+        name: &'static str,
+        case: Case,
+        target: DetTarget,
+        detector: fn(&DetRun) -> bool,
+    }
+
+    /// The planted-defect table. Adding a defect is one [`glt::Fault`]
+    /// entry plus one row here.
+    fn planted() -> Vec<Planted> {
+        let failed: fn(&DetRun) -> bool = |r| !r.ok;
+        let glto2 = DetTarget::glto(2);
+        // Two domains, no SMT: the single-runner's pool is in one domain,
+        // so the other domain's thieves see only cross-domain victims.
+        let two_sockets = |c: OmpConfig| c.topology(glt::Topology::parse("2x4x1").expect("spec"));
+        vec![
+            Planted {
+                name: "lost-update",
+                case: planted_lost_update,
+                target: glto2.clone(),
+                detector: failed,
+            },
+            Planted {
+                name: "depend-race",
+                case: planted_depend_race,
+                target: glto2.clone(),
+                detector: failed,
+            },
+            Planted {
+                name: "lost-wakeup",
+                case: planted_lost_wakeup,
+                target: glto2.clone().arm(Fault::LockLostWakeup),
+                detector: failed,
+            },
+            Planted {
+                name: "cross-starvation",
+                case: planted_cross_starvation,
+                target: DetTarget::glto(4).cfg(two_sockets).arm(Fault::DetCrossStarvation),
+                detector: failed,
+            },
+            Planted {
+                name: "bad-commit",
+                case: adaptive_commit_storm,
+                target: DetTarget::adaptive(2).arm(Fault::AdaptiveBadCommit),
+                // The commit contradicts its own seeded draw.
+                detector: |r| !r.wrong_commits.is_empty(),
+            },
+            Planted {
+                name: "tenant-bleed",
+                case: tenant_accounting,
+                target: glto2.arm(Fault::TenantBleed),
+                detector: failed,
+            },
+        ]
+    }
+
+    /// The one driver: every planted defect is exposed by the 64-seed
+    /// sweep, attributed to its detector, replayed by its seed, and shrunk
+    /// to a minimal randomized-decision budget.
     #[test]
-    fn planted_bug_caught_replayed_and_shrunk() {
+    fn planted_defects_are_caught_replayed_and_shrunk() {
         fast_stall();
-        let report = sweep_det("planted-lost-update", planted_lost_update, 2, 0..64);
-        assert!(
-            !report.failing.is_empty(),
-            "the seed sweep must expose the planted lost update in 64 seeds"
-        );
-        let seed = report.failing[0];
-        // A printed seed is a complete reproduction recipe.
-        let r1 = replay_det(planted_lost_update, 2, seed);
-        let r2 = replay_det(planted_lost_update, 2, seed);
-        assert!(!r1.passed() && !r2.passed(), "failing seed {seed} must replay");
-        assert_eq!(r1.decisions, r2.decisions, "replays must take the same schedule");
-        // And it shrinks to a minimal randomized-decision budget.
-        let budget = shrink_det(planted_lost_update, 2, seed).expect("seed fails, so it shrinks");
-        assert!(budget <= r1.decisions);
-        assert!(!run_det_once(planted_lost_update, 2, seed, budget).passed());
-        if budget > 0 {
-            assert!(run_det_once(planted_lost_update, 2, seed, budget - 1).passed());
+        for Planted { name, case, target: t, detector } in planted() {
+            let report = sweep_det(name, case, &t, 0..64);
+            assert!(!report.failing.is_empty(), "`{name}`: the 64-seed sweep must expose it");
+            // A printed seed is a complete reproduction recipe.
+            let seed = report.failing[0];
+            let (r1, r2) = (run_det(case, &t, seed, u64::MAX), run_det(case, &t, seed, u64::MAX));
+            assert!(!r1.passed() && !r2.passed(), "`{name}`: failing seed {seed} must replay");
+            assert!(detector(&r1), "`{name}`: seed {seed} failed outside its detector: {r1:?}");
+            assert_eq!(r1.external, r2.external, "`{name}`: replays must draw the same decisions");
+            if t.engine == Engine::Glto {
+                assert_eq!(r1.decisions, r2.decisions, "`{name}`: replays must take one schedule");
+            }
+            // And it shrinks to a minimal randomized-decision budget.
+            let budget = shrink_det(case, &t, seed).expect("seed fails, so it shrinks");
+            assert!(budget <= r1.draws(), "`{name}`: shrunk past the full run");
+            assert!(!run_det(case, &t, seed, budget).passed(), "`{name}`: budget {budget} passes");
+            if budget > 0 {
+                let below = run_det(case, &t, seed, budget - 1);
+                assert!(below.passed(), "`{name}`: budget {budget} is not minimal");
+            }
         }
     }
 
+    /// Foreign arm, one row per fault: armed on runtime A — co-resident on
+    /// this thread for the whole sweep, its frame beneath every B's — the
+    /// fault never fires in runtime B's sweep. Every seed passes, and A's
+    /// arming is neither fired nor consumed.
     #[test]
-    fn planted_depend_race_caught_replayed_and_shrunk() {
+    fn faults_armed_on_a_foreign_runtime_never_fire() {
         fast_stall();
-        // The correctly-declared chain must survive the same sweep the
-        // under-declared one fails: the detector blames the declaration,
-        // not the resolver.
-        let clean = sweep_det("depend-chain", case_depend_chain, 2, 0..64);
-        assert!(clean.all_passed(), "inout chain failed seeds {:?}", clean.failing);
-        let report = sweep_det("planted-depend-race", planted_depend_race, 2, 0..64);
-        assert!(
-            !report.failing.is_empty(),
-            "the seed sweep must expose the under-declared `in` dependence in 64 seeds"
-        );
-        let seed = report.failing[0];
-        let r1 = replay_det(planted_depend_race, 2, seed);
-        let r2 = replay_det(planted_depend_race, 2, seed);
-        assert!(!r1.passed() && !r2.passed(), "failing seed {seed} must replay");
-        assert_eq!(r1.decisions, r2.decisions, "replays must take the same schedule");
-        let budget = shrink_det(planted_depend_race, 2, seed).expect("seed fails, so it shrinks");
-        assert!(budget <= r1.decisions);
-        assert!(!run_det_once(planted_depend_race, 2, seed, budget).passed());
-        if budget > 0 {
-            assert!(run_det_once(planted_depend_race, 2, seed, budget - 1).passed());
+        for Planted { name, case, target, .. } in planted() {
+            let Some(f) = target.arm else { continue };
+            let foreign = GltoRuntime::new(Backend::Abt, OmpConfig::with_threads(1));
+            foreign.glt().faults().arm(f);
+            let report = sweep_det(name, case, &DetTarget { arm: None, ..target }, 0..64);
+            assert!(report.all_passed(), "`{name}` armed on A failed seeds {:?}", report.failing);
+            let faults = foreign.glt().faults();
+            assert!(faults.is_armed(f) && faults.fired(f) == 0, "`{name}`: A's arming leaked");
         }
+    }
+
+    /// The correctly declared `inout` chain survives the same sweep the
+    /// under-declared `depend-race` row fails: the detector blames the
+    /// declaration, not the resolver.
+    #[test]
+    fn inout_depend_chain_is_clean_under_the_race_sweep() {
+        fast_stall();
+        let clean = sweep_det("depend-chain", case_depend_chain, &DetTarget::glto(2), 0..64);
+        assert!(clean.all_passed(), "inout chain failed seeds {:?}", clean.failing);
     }
 
     // ------------------------------------------------ adaptive runtime
 
-    /// Under `--features planted-bad-commit` every adaptive commit is
-    /// deliberately wrong, so the honest-decision assertions below are
-    /// compiled out (the sabotage is a compile-time plant, not an armable
-    /// one) and `planted_bad_commit_caught_replayed_and_shrunk` takes
-    /// over as the suite's teeth.
-    #[cfg(not(feature = "planted-bad-commit"))]
     #[test]
     fn adaptive_det_decisions_replay_by_seed() {
         fast_stall();
+        let t = DetTarget::adaptive(3);
         for seed in [0u64, 7, 0xC0FFEE] {
-            let a = run_det_adaptive_once(adaptive_commit_storm, 3, seed, u64::MAX);
-            let b = run_det_adaptive_once(adaptive_commit_storm, 3, seed, u64::MAX);
+            let a = run_det(adaptive_commit_storm, &t, seed, u64::MAX);
+            let b = run_det(adaptive_commit_storm, &t, seed, u64::MAX);
             assert!(
                 a.passed(),
                 "seed {seed}: ok={} violations={:?} wrong_commits={:?}",
@@ -1309,15 +1269,14 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "planted-bad-commit"))]
     #[test]
     fn adaptive_det_sweep_commits_consistently() {
         fast_stall();
         let n = seeds_from_env(64);
-        let report = sweep_det_adaptive(
+        let report = sweep_det(
             "adaptive-commit-storm",
             adaptive_commit_storm,
-            3,
+            &DetTarget::adaptive(3),
             seed_stream(0xADA7, n),
         );
         assert!(
@@ -1367,59 +1326,6 @@ mod tests {
                 "adaptive (probe_k={k}): {}",
                 r.row()
             );
-        }
-    }
-
-    #[cfg(feature = "planted-bad-commit")]
-    #[test]
-    fn planted_bad_commit_caught_replayed_and_shrunk() {
-        fast_stall();
-        let report = sweep_det_adaptive("planted-bad-commit", adaptive_commit_storm, 2, 0..64);
-        assert!(
-            !report.failing.is_empty(),
-            "the seed sweep must expose the planted wrong commit in 64 seeds"
-        );
-        let seed = report.failing[0];
-        let r1 = replay_det_adaptive(adaptive_commit_storm, 2, seed);
-        let r2 = replay_det_adaptive(adaptive_commit_storm, 2, seed);
-        assert!(!r1.passed() && !r2.passed(), "failing seed {seed} must replay");
-        assert_eq!(r1.external, r2.external, "replays must draw the same decisions");
-        assert!(
-            !r1.wrong_commits.is_empty(),
-            "the failure must be a commit contradicting its own seeded draw, got \
-             ok={} violations={:?}",
-            r1.ok,
-            r1.violations
-        );
-        // And it shrinks to a minimal prefix of real seeded decisions.
-        let budget =
-            shrink_det_adaptive(adaptive_commit_storm, 2, seed).expect("seed fails, so it shrinks");
-        assert!(budget <= r1.external.len() as u64);
-        assert!(!run_det_adaptive_once(adaptive_commit_storm, 2, seed, budget).passed());
-        if budget > 0 {
-            assert!(run_det_adaptive_once(adaptive_commit_storm, 2, seed, budget - 1).passed());
-        }
-    }
-
-    #[cfg(feature = "planted-lost-wakeup")]
-    #[test]
-    fn planted_lost_wakeup_caught_replayed_and_shrunk() {
-        fast_stall();
-        let report = sweep_det("planted-lost-wakeup", planted_lost_wakeup, 2, 0..64);
-        assert!(
-            !report.failing.is_empty(),
-            "the seed sweep must expose the planted dropped MCS hand-off in 64 seeds"
-        );
-        let seed = report.failing[0];
-        let r1 = replay_det(planted_lost_wakeup, 2, seed);
-        let r2 = replay_det(planted_lost_wakeup, 2, seed);
-        assert!(!r1.passed() && !r2.passed(), "failing seed {seed} must replay");
-        assert_eq!(r1.decisions, r2.decisions, "replays must take the same schedule");
-        let budget = shrink_det(planted_lost_wakeup, 2, seed).expect("seed fails, so it shrinks");
-        assert!(budget <= r1.decisions);
-        assert!(!run_det_once(planted_lost_wakeup, 2, seed, budget).passed());
-        if budget > 0 {
-            assert!(run_det_once(planted_lost_wakeup, 2, seed, budget - 1).passed());
         }
     }
 
@@ -1609,11 +1515,10 @@ mod tests {
         // *which steal tier* a thief raids, must stay conforming whether
         // the machine is flat or hierarchical.
         for (i, topo) in sweep_topologies().into_iter().enumerate() {
-            let cfg = OmpConfig::with_threads(4).topology(topo);
-            let report = sweep_det_cfg(
+            let report = sweep_det(
                 "tasks-taskwait",
                 case_tasks_taskwait,
-                &cfg,
+                &DetTarget::glto(4).cfg(|c| c.topology(topo)),
                 seed_stream(0x7090 + i as u64, 64),
             );
             assert!(
@@ -1622,35 +1527,6 @@ mod tests {
                 report.failing,
                 report.seeds_run
             );
-        }
-    }
-
-    #[cfg(feature = "planted-cross-starvation")]
-    #[test]
-    fn planted_cross_starvation_caught_replayed_and_shrunk() {
-        fast_stall();
-        // Two domains, no SMT: the single-runner's pool is in one domain,
-        // so the other domain's thieves see only cross-domain victims —
-        // exactly what the plant starves until the backstop rescues them.
-        let cfg =
-            OmpConfig::with_threads(4).topology(glt::Topology::parse("2x4x1").expect("valid spec"));
-        let report =
-            sweep_det_cfg("planted-cross-starvation", planted_cross_starvation, &cfg, 0..64);
-        assert!(
-            !report.failing.is_empty(),
-            "the seed sweep must expose the planted cross-domain starvation in 64 seeds"
-        );
-        let seed = report.failing[0];
-        let r1 = replay_det_cfg(planted_cross_starvation, &cfg, seed);
-        let r2 = replay_det_cfg(planted_cross_starvation, &cfg, seed);
-        assert!(!r1.passed() && !r2.passed(), "failing seed {seed} must replay");
-        assert_eq!(r1.decisions, r2.decisions, "replays must take the same schedule");
-        let budget = shrink_det_cfg(planted_cross_starvation, &cfg, seed)
-            .expect("seed fails, so it shrinks");
-        assert!(budget <= r1.decisions);
-        assert!(!run_det_once_cfg(planted_cross_starvation, &cfg, seed, budget).passed());
-        if budget > 0 {
-            assert!(run_det_once_cfg(planted_cross_starvation, &cfg, seed, budget - 1).passed());
         }
     }
 
@@ -1756,52 +1632,17 @@ mod tests {
         assert!(report.is_clean(), "{:?}", report.violations);
     }
 
-    /// The clean accounting probe is exact on every swept schedule (the
-    /// planted-bleed build must flip this same sweep red).
-    #[cfg(not(feature = "planted-tenant-bleed"))]
+    /// The unarmed accounting probe is exact on every swept schedule (the
+    /// `tenant-bleed` row of the planted table flips the sweep red).
     #[test]
     fn tenant_accounting_sweep_is_clean() {
         fast_stall();
         let report = sweep_det(
             "tenant-accounting",
             tenant_accounting,
-            4,
+            &DetTarget::glto(4),
             seed_stream(97, seeds_from_env(64)),
         );
-        assert!(report.all_passed(), "failing seeds: {:?}", report.failing);
-    }
-
-    #[cfg(feature = "planted-tenant-bleed")]
-    #[test]
-    fn planted_tenant_bleed_caught_replayed_and_shrunk() {
-        fast_stall();
-        let report = sweep_det("planted-tenant-bleed", tenant_accounting, 2, 0..64);
-        assert!(
-            !report.failing.is_empty(),
-            "the seed sweep must expose the planted cross-tenant charge bleed in 64 seeds"
-        );
-        let seed = report.failing[0];
-        let r1 = replay_det(tenant_accounting, 2, seed);
-        let r2 = replay_det(tenant_accounting, 2, seed);
-        assert!(!r1.passed() && !r2.passed(), "failing seed {seed} must replay");
-        assert_eq!(r1.decisions, r2.decisions, "replays must take the same schedule");
-        let budget = shrink_det(tenant_accounting, 2, seed).expect("seed fails, so it shrinks");
-        assert!(budget <= r1.decisions);
-        assert!(!run_det_once(tenant_accounting, 2, seed, budget).passed());
-        if budget > 0 {
-            assert!(run_det_once(tenant_accounting, 2, seed, budget - 1).passed());
-        }
-    }
-
-    /// A co-tenant arming the planted lock fault never fires in another
-    /// runtime's lock scope — all-green across the sweep even though the
-    /// arm is live for the whole case.
-    #[cfg(feature = "planted-lost-wakeup")]
-    #[test]
-    fn foreign_arm_sweep_is_all_green() {
-        fast_stall();
-        let report =
-            sweep_det("planted-lost-wakeup-foreign-arm", planted_lost_wakeup_foreign_arm, 2, 0..32);
         assert!(report.all_passed(), "failing seeds: {:?}", report.failing);
     }
 }

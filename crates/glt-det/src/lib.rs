@@ -26,8 +26,9 @@
 //!   arbitrary user code until its next `push`/`pop_own`/`steal`.
 //! * A thread that must block *outside* the scheduler (OpenMP locks,
 //!   `critical`, `ordered` tickets) would deadlock the token, so
-//!   [`DetScheduler`] installs a [`glt::coop`] handle for every worker:
-//!   those waits spin with [`Stepper::acquire`] as the cooperative yield.
+//!   [`DetScheduler`] reports itself [`Scheduler::schedule_controlled`]:
+//!   those waits probe and yield through [`glt::coop`], whose yield is
+//!   [`Scheduler::waiter_yield`] — [`Stepper::acquire`] here.
 //! * Shutdown ([`Scheduler::on_shutdown`], called first thing in the
 //!   runtime's `Drop`) and a stall watchdog both flip the stepper into
 //!   `free_run`, releasing every thread, so a missed cooperative path
@@ -49,49 +50,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use glt::{coop, GltConfig, Placement, Runtime, Scheduler, Stolen, Topology, Unit, WaitPolicy};
+use glt::fault::{self, Fault};
+use glt::{GltConfig, Placement, Runtime, Scheduler, Stolen, Topology, Unit, WaitPolicy};
 use parking_lot::{Condvar, Mutex};
-
-/// Distinguishes stepper instances in the thread-local [`glt::coop`] stack.
-static NEXT_STEPPER_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Arms the planted cross-domain starvation bug (see
-/// [`plant_cross_starvation`]).
-#[cfg(feature = "planted-cross-starvation")]
-static PLANT_CROSS_STARVATION: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
-
-/// Times the planted bug's liveness backstop had to fire (see
-/// [`planted_rescues`]).
-#[cfg(feature = "planted-cross-starvation")]
-static PLANTED_RESCUES: AtomicU64 = AtomicU64::new(0);
-
-/// Arm the **planted cross-domain starvation bug** (test-only; feature
-/// `planted-cross-starvation`): while armed, [`DetScheduler::steal`]
-/// silently drops victim groups that live in another domain, so a thief
-/// whose only available work is cross-socket finds nothing. A liveness
-/// backstop performs the suppressed steal anyway after a few fruitless
-/// attempts — bumping [`planted_rescues`] — so the bug manifests as a
-/// *detectable counter*, never a hang. Under a single-domain (default)
-/// topology the bug is inert: no victim group is ever cross-domain.
-#[cfg(feature = "planted-cross-starvation")]
-pub fn plant_cross_starvation() {
-    PLANT_CROSS_STARVATION.store(true, Ordering::SeqCst);
-}
-
-/// Disarm the planted cross-domain starvation bug.
-#[cfg(feature = "planted-cross-starvation")]
-pub fn unplant_cross_starvation() {
-    PLANT_CROSS_STARVATION.store(false, Ordering::SeqCst);
-}
-
-/// Process-wide count of backstop rescues performed while the planted
-/// cross-domain starvation bug was armed. A correct run has zero.
-#[cfg(feature = "planted-cross-starvation")]
-#[must_use]
-pub fn planted_rescues() -> u64 {
-    PLANTED_RESCUES.load(Ordering::SeqCst)
-}
 
 /// One SplitMix64 step: advances `state` and returns the next output.
 #[must_use]
@@ -432,24 +393,9 @@ impl Stepper {
     }
 }
 
-/// Cooperative-yield handle installed for every controlled thread: an
-/// OS-blocking wait in the OpenMP layers re-probes its condition with this
-/// between attempts, handing the token onward instead of deadlocking it.
-struct DetCoop {
-    stepper: Arc<Stepper>,
-    rank: usize,
-}
-
-impl coop::CoopWait for DetCoop {
-    fn coop_yield(&self) {
-        self.stepper.acquire(self.rank);
-    }
-}
-
 /// The deterministic scheduler: per-worker pools (collapsed to one in
 /// `GLT_SHARED_QUEUES` mode) behind the [`Stepper`] token.
 pub struct DetScheduler {
-    id: u64,
     n: usize,
     shared: bool,
     /// `(push token, unit)` pairs. The token is a scheduler-local creation
@@ -462,9 +408,8 @@ pub struct DetScheduler {
     topo: Topology,
     /// Whether thieves may reach across a domain boundary.
     cross_domain: bool,
-    /// Fruitless steal attempts while the planted bug suppressed
-    /// remote-only work (drives the liveness backstop).
-    #[cfg(feature = "planted-cross-starvation")]
+    /// Fruitless steal attempts while [`Fault::DetCrossStarvation`]
+    /// suppressed remote-only work (drives the liveness backstop).
     starved_attempts: AtomicU64,
 }
 
@@ -485,7 +430,6 @@ impl DetScheduler {
         let shared = cfg.shared_queues;
         let npools = if shared { 1 } else { n };
         DetScheduler {
-            id: NEXT_STEPPER_ID.fetch_add(1, Ordering::Relaxed),
             n,
             shared,
             pools: (0..npools).map(|_| Mutex::new(VecDeque::new())).collect(),
@@ -493,7 +437,6 @@ impl DetScheduler {
             push_tokens: AtomicU64::new(0),
             topo: cfg.resolved_topology(),
             cross_domain: cfg.cross_domain_steal,
-            #[cfg(feature = "planted-cross-starvation")]
             starved_attempts: AtomicU64::new(0),
         }
     }
@@ -543,18 +486,16 @@ impl DetScheduler {
         self.stepper.record(&mut st, kind);
     }
 
-    /// The planted cross-domain starvation bug: while armed, drop every
-    /// victim group outside the thief's domain. When that leaves a thief
-    /// with *no* groups although remote work exists, count the fruitless
-    /// attempt; after a handful, perform the suppressed steal anyway (the
-    /// liveness backstop) and record the rescue. Deterministic under the
-    /// stepper: attempts are counted in schedule order.
-    #[cfg(feature = "planted-cross-starvation")]
+    /// [`Fault::DetCrossStarvation`], armed on the thief's runtime: drop
+    /// every victim group outside the thief's domain. When that leaves a
+    /// thief with *no* groups although remote work exists, count the
+    /// fruitless attempt; after a handful, perform the suppressed steal
+    /// anyway (the liveness backstop) and fire the fault — so the bug
+    /// manifests as a detectable count, never a hang. Deterministic under
+    /// the stepper: attempts are counted in schedule order. Inert under a
+    /// single-domain topology: no victim group is ever cross-domain.
     fn sabotage_cross_groups(&self, groups: Vec<Vec<usize>>, own_domain: usize) -> Vec<Vec<usize>> {
         const BACKSTOP_AFTER: u64 = 6;
-        if !PLANT_CROSS_STARVATION.load(Ordering::Relaxed) {
-            return groups;
-        }
         let (same, cross): (Vec<Vec<usize>>, Vec<Vec<usize>>) =
             groups.into_iter().partition(|g| self.topo.domain_of_rank(g[0]) == own_domain);
         if !same.is_empty() || cross.is_empty() {
@@ -562,7 +503,7 @@ impl DetScheduler {
         }
         if self.starved_attempts.fetch_add(1, Ordering::Relaxed) + 1 >= BACKSTOP_AFTER {
             self.starved_attempts.store(0, Ordering::Relaxed);
-            PLANTED_RESCUES.fetch_add(1, Ordering::Relaxed);
+            fault::fire(Fault::DetCrossStarvation);
             return cross;
         }
         Vec::new()
@@ -646,8 +587,9 @@ impl Scheduler for DetScheduler {
         if !self.cross_domain {
             groups.retain(|g| self.topo.domain_of_rank(g[0]) == own_domain);
         }
-        #[cfg(feature = "planted-cross-starvation")]
-        let groups = self.sabotage_cross_groups(groups, own_domain);
+        if fault::armed(Fault::DetCrossStarvation) {
+            groups = self.sabotage_cross_groups(groups, own_domain);
+        }
         if groups.is_empty() {
             return None;
         }
@@ -668,17 +610,8 @@ impl Scheduler for DetScheduler {
         self.pools.iter().map(|p| p.lock().len()).sum()
     }
 
-    fn on_worker_start(&self, rank: usize) {
-        coop::install(self.id, Arc::new(DetCoop { stepper: Arc::clone(&self.stepper), rank }));
-    }
-
     fn on_shutdown(&self) {
         self.stepper.release_all();
-        // Only the calling thread's handle can be removed here (the
-        // registry is thread-local); worker threads drop theirs when they
-        // exit. A leftover handle is harmless post-free_run: `acquire`
-        // returns immediately, so cooperative probes degrade to spinning.
-        coop::uninstall(self.id);
     }
 
     fn shared_queues(&self) -> bool {

@@ -1,88 +1,17 @@
-//! Cooperative-wait registration for schedule-controlled threads.
+//! Scheduler-aware blocking: the hook every blocking wait in the OpenMP
+//! layers uses to yield to *its own* backend's scheduler.
 //!
-//! The deterministic stepper backend (`glt-det`) serializes all GLT_threads
-//! through a single run token: exactly one registered thread executes at a
-//! time, and the token only changes hands at scheduler entry points
-//! (`push`/`pop_own`/`steal`). That model breaks if a token holder blocks
-//! in an *OS-level* wait (a mutex or condvar) for a condition only another
-//! — currently suspended — thread can establish: the holder never reaches a
-//! scheduler entry, so the token never moves and the runtime deadlocks.
-//!
-//! The fix is this registry: a controlled thread carries a [`CoopWait`]
-//! handle, and every OS-blocking wait in the OpenMP layers (`critical`
-//! locks, `omp_set_lock`, `ordered` tickets) asks [`current`] first. If a
-//! handle is installed, the wait loops on its condition with
-//! [`CoopWait::coop_yield`] between probes — handing the token to another
-//! thread — instead of blocking in the kernel. Threads without a handle
-//! (every non-deterministic runtime) keep their normal blocking paths.
-
-use std::cell::RefCell;
-use std::sync::Arc;
-
-/// A cooperative yield point installed for schedule-controlled threads.
-pub trait CoopWait: Send + Sync {
-    /// Give other controlled threads a chance to run. Called by a thread
-    /// that is about to re-probe a condition outside the scheduler (lock
-    /// acquisition, ordered ticket, …). Must return once the caller is
-    /// allowed to run again; must not execute queued work units (lock
-    /// acquisition is not an OpenMP task scheduling point).
-    fn coop_yield(&self);
-}
-
-thread_local! {
-    /// Installed handles, newest last. A stack because one OS thread can be
-    /// registered with nested/successive runtimes; the innermost (latest)
-    /// controller wins.
-    static HANDLES: RefCell<Vec<(u64, Arc<dyn CoopWait>)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Install a handle for the calling thread under controller id `id`
-/// (typically the scheduler instance's id). Replaces a previous handle
-/// with the same id.
-pub fn install(id: u64, handle: Arc<dyn CoopWait>) {
-    HANDLES.with(|h| {
-        let mut v = h.borrow_mut();
-        v.retain(|(i, _)| *i != id);
-        v.push((id, handle));
-    });
-}
-
-/// Remove the calling thread's handle for controller `id` (no-op if absent).
-pub fn uninstall(id: u64) {
-    HANDLES.with(|h| h.borrow_mut().retain(|(i, _)| *i != id));
-}
-
-/// The innermost handle installed for the calling thread, if any.
-#[must_use]
-pub fn current() -> Option<Arc<dyn CoopWait>> {
-    HANDLES.with(|h| h.borrow().last().map(|(_, c)| Arc::clone(c)))
-}
-
-/// Spin on `try_acquire` with cooperative yields until it succeeds, or
-/// return `None` immediately if the calling thread has no handle installed
-/// (the caller should then use its normal OS-blocking path).
-pub fn coop_acquire<T>(mut try_acquire: impl FnMut() -> Option<T>) -> Option<T> {
-    let handle = current()?;
-    loop {
-        if let Some(v) = try_acquire() {
-            return Some(v);
-        }
-        handle.coop_yield();
-    }
-}
-
-// ------------------------------------------------------------ sync waiters
-//
-// A second, independent registry for the *scheduler-aware blocking*
-// discipline (ROADMAP item 4): workers of every GLT backend install a
-// [`SyncWaiter`] so that `omp` locks, criticals, and barrier loops can
-// yield to the worker's scheduler when a probe fails, instead of burning
-// the worker an entire OS timeslice while the lock holder waits to run —
-// the classic spin-lock pathology of LWT environments. This is distinct
-// from [`CoopWait`] on purpose: `coop_acquire` converts a blocking wait
-// into an *unbounded* cooperative spin and is only safe (and only
-// installed) under the deterministic stepper, whereas a `SyncWaiter` is a
-// bounded-spin escape hatch that every backend provides.
+//! Every thread a GLT runtime registers (rank 0 and workers alike) carries
+//! the runtime's [`SyncWaiter`] in its [`crate::ctx`] frame, so `omp`
+//! locks, criticals, `ordered` tickets, and barrier loops can yield to the
+//! worker's scheduler when a probe fails instead of burning the worker an
+//! entire OS timeslice while the holder waits to run — the classic
+//! spin-lock pathology of LWT environments. Under the deterministic stepper
+//! (`glt-det`) the yield hands the run token to another controlled thread,
+//! which is what keeps an OS-blocking wait from deadlocking the token:
+//! [`schedule_controlled`] tells a waiter it must probe-and-yield rather
+//! than block in the kernel. Threads with no runtime (external submitters,
+//! pthread-style pool members) fall back to plain OS yields.
 
 use crate::counters::Counters;
 
@@ -111,72 +40,37 @@ pub trait SyncWaiter: Send + Sync {
     }
 }
 
-thread_local! {
-    /// Installed sync waiters, newest last (same stack discipline as
-    /// `HANDLES`: the innermost runtime controls the thread).
-    static WAITERS: RefCell<Vec<(u64, Arc<dyn SyncWaiter>)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Install a sync waiter for the calling thread under runtime id `id`.
-/// Replaces a previous waiter with the same id.
-pub fn install_waiter(id: u64, waiter: Arc<dyn SyncWaiter>) {
-    WAITERS.with(|w| {
-        let mut v = w.borrow_mut();
-        v.retain(|(i, _)| *i != id);
-        v.push((id, waiter));
-    });
-}
-
-/// Remove the calling thread's sync waiter for runtime `id` (no-op if
-/// absent).
-pub fn uninstall_waiter(id: u64) {
-    WAITERS.with(|w| w.borrow_mut().retain(|(i, _)| *i != id));
-}
-
-/// The innermost sync waiter installed for the calling thread, if any.
-#[must_use]
-pub fn current_waiter() -> Option<Arc<dyn SyncWaiter>> {
-    WAITERS.with(|w| w.borrow().last().map(|(_, s)| Arc::clone(s)))
-}
-
-/// The runtime id the innermost sync waiter was installed under, if any.
-///
-/// This is the key the `omp` layer scopes per-runtime synchronization
-/// state by (nest-lock owner tokens, fault-injection arming): every thread
-/// a GLT runtime registers — rank 0 and workers alike — carries the same
-/// id, so state keyed by it is shared exactly across one runtime instance
-/// and never across coexisting instances. Threads with no waiter (external
-/// submitters, pthread-style runtimes) return `None` and share a common
-/// fallback namespace.
+/// The id of the calling thread's innermost registered runtime, if any
+/// (see [`crate::ctx`]): every thread a GLT runtime registers carries the
+/// same id, so state keyed by it is shared exactly across one runtime
+/// instance and never across coexisting instances.
 #[must_use]
 pub fn current_runtime_id() -> Option<u64> {
-    WAITERS.with(|w| w.borrow().last().map(|(i, _)| *i))
+    crate::ctx::current_id()
 }
 
-/// Yield to the calling thread's scheduler: the innermost installed
-/// waiter's backend-specific yield, else a plain OS `yield_now` (external
-/// threads and pthread-style runtimes).
+/// Yield to the calling thread's scheduler: the innermost runtime's
+/// backend-specific yield, else a plain OS `yield_now` (external threads
+/// and pthread-style runtimes).
 pub fn yield_to_scheduler() {
-    match current_waiter() {
+    match crate::ctx::waiter() {
         Some(w) => w.yield_to_scheduler(),
         None => std::thread::yield_now(),
     }
 }
 
 /// `true` when the calling thread is under a token-controlled schedule
-/// (see [`SyncWaiter::schedule_controlled`]). Threads without a waiter are
+/// (see [`SyncWaiter::schedule_controlled`]). Unregistered threads are
 /// never controlled.
 #[must_use]
 pub fn schedule_controlled() -> bool {
-    current_waiter().is_some_and(|w| w.schedule_controlled())
+    crate::ctx::with_waiter(|w| w.schedule_controlled()).unwrap_or(false)
 }
 
-/// Run `f` against the calling thread's runtime counters, if a waiter is
-/// installed (external threads have no counter block to charge).
+/// Run `f` against the calling thread's runtime counters, if it is
+/// registered with one (external threads have no counter block to charge).
 pub fn with_sync_counters(f: impl FnOnce(&Counters)) {
-    if let Some(w) = current_waiter() {
-        f(w.counters());
-    }
+    crate::ctx::with_waiter(|w| f(w.counters()));
 }
 
 // ---------------------------------------------------------------- SpinWait
@@ -224,7 +118,7 @@ impl SpinWait {
         self.yields += 1;
         if self.passive
             && self.yields.is_multiple_of(Self::YIELDS_PER_SLEEP)
-            && current_waiter().is_none()
+            && crate::ctx::current_id().is_none()
         {
             std::thread::sleep(std::time::Duration::from_micros(20));
         } else {
@@ -244,64 +138,10 @@ impl SpinWait {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx;
+    use crate::fault::Faults;
     use std::sync::atomic::{AtomicU64, Ordering};
-
-    struct CountYield(AtomicU64);
-    impl CoopWait for CountYield {
-        fn coop_yield(&self) {
-            self.0.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    #[test]
-    fn no_handle_means_none() {
-        assert!(current().is_none());
-        assert!(coop_acquire(|| Some(1)).is_none());
-    }
-
-    #[test]
-    fn install_stack_and_acquire() {
-        let a = Arc::new(CountYield(AtomicU64::new(0)));
-        install(1, a.clone());
-        let b = Arc::new(CountYield(AtomicU64::new(0)));
-        install(2, b.clone());
-
-        // Innermost handle is used and yields until the probe succeeds.
-        let mut tries = 0;
-        let got = coop_acquire(|| {
-            tries += 1;
-            (tries == 4).then_some("ok")
-        });
-        assert_eq!(got, Some("ok"));
-        assert_eq!(b.0.load(Ordering::Relaxed), 3);
-        assert_eq!(a.0.load(Ordering::Relaxed), 0);
-
-        uninstall(2);
-        assert!(coop_acquire(|| Some(())).is_some());
-        assert_eq!(a.0.load(Ordering::Relaxed), 0, "probe succeeded first try");
-        uninstall(1);
-        assert!(current().is_none());
-    }
-
-    #[test]
-    fn reinstall_same_id_replaces() {
-        let a = Arc::new(CountYield(AtomicU64::new(0)));
-        install(7, a.clone());
-        let b = Arc::new(CountYield(AtomicU64::new(0)));
-        install(7, b.clone());
-        let mut once = false;
-        coop_acquire(|| {
-            if once {
-                Some(())
-            } else {
-                once = true;
-                None
-            }
-        });
-        assert_eq!(a.0.load(Ordering::Relaxed), 0);
-        assert_eq!(b.0.load(Ordering::Relaxed), 1);
-        uninstall(7);
-    }
+    use std::sync::Arc;
 
     struct TestWaiter {
         yields: AtomicU64,
@@ -329,18 +169,23 @@ mod tests {
         }
     }
 
+    fn enter(id: u64, w: &Arc<TestWaiter>) {
+        ctx::enter(id, 0, Arc::clone(w) as Arc<dyn SyncWaiter>, Arc::new(Faults::default()));
+    }
+
     #[test]
     fn waiter_stack_innermost_wins() {
-        assert!(current_waiter().is_none());
         assert!(!schedule_controlled());
+        assert_eq!(current_runtime_id(), None);
         yield_to_scheduler(); // no waiter: plain OS yield, must not panic
 
         let a = TestWaiter::new(false);
-        install_waiter(1, a.clone());
+        enter(1, &a);
         let b = TestWaiter::new(true);
-        install_waiter(2, b.clone());
+        enter(2, &b);
 
         assert!(schedule_controlled(), "innermost waiter is controlled");
+        assert_eq!(current_runtime_id(), Some(2));
         yield_to_scheduler();
         assert_eq!(b.yields.load(Ordering::Relaxed), 1);
         assert_eq!(a.yields.load(Ordering::Relaxed), 0);
@@ -349,31 +194,19 @@ mod tests {
         assert_eq!(b.counters.snapshot().lock_spins, 5);
         assert_eq!(a.counters.snapshot().lock_spins, 0);
 
-        uninstall_waiter(2);
+        ctx::leave(2);
         assert!(!schedule_controlled());
+        assert_eq!(current_runtime_id(), Some(1));
         yield_to_scheduler();
         assert_eq!(a.yields.load(Ordering::Relaxed), 1);
-        uninstall_waiter(1);
-        assert!(current_waiter().is_none());
-    }
-
-    #[test]
-    fn current_runtime_id_tracks_innermost_waiter() {
-        assert_eq!(current_runtime_id(), None);
-        install_waiter(41, TestWaiter::new(false));
-        assert_eq!(current_runtime_id(), Some(41));
-        install_waiter(42, TestWaiter::new(false));
-        assert_eq!(current_runtime_id(), Some(42));
-        uninstall_waiter(42);
-        assert_eq!(current_runtime_id(), Some(41));
-        uninstall_waiter(41);
+        ctx::leave(1);
         assert_eq!(current_runtime_id(), None);
     }
 
     #[test]
     fn spin_wait_spins_budget_then_yields() {
         let w = TestWaiter::new(false);
-        install_waiter(3, w.clone());
+        enter(3, &w);
         let mut sw = SpinWait::new(4, false);
         for _ in 0..4 {
             assert!(!sw.wait(), "within budget: spin, not yield");
@@ -382,16 +215,16 @@ mod tests {
         assert_eq!(w.yields.load(Ordering::Relaxed), 1);
         sw.reset();
         assert!(!sw.wait(), "reset restores the spin budget");
-        uninstall_waiter(3);
+        ctx::leave(3);
     }
 
     #[test]
     fn spin_wait_skips_spinning_when_controlled() {
         let w = TestWaiter::new(true);
-        install_waiter(4, w.clone());
+        enter(4, &w);
         let mut sw = SpinWait::new(1000, false);
         assert!(sw.wait(), "controlled threads must not burn the token on spins");
         assert_eq!(w.yields.load(Ordering::Relaxed), 1);
-        uninstall_waiter(4);
+        ctx::leave(4);
     }
 }

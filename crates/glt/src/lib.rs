@@ -41,6 +41,8 @@
 pub mod config;
 pub mod coop;
 pub mod counters;
+pub mod ctx;
+pub mod fault;
 pub mod feb;
 pub mod park;
 pub mod runtime;
@@ -53,6 +55,7 @@ pub mod unit;
 pub use config::{GltConfig, WaitPolicy};
 pub use coop::{SpinWait, SyncWaiter};
 pub use counters::{CounterSnapshot, Counters};
+pub use fault::{Fault, Faults};
 pub use feb::FebTable;
 pub use runtime::{start_shared, GltRuntime, Runtime, SharedRuntime};
 pub use sched::{Placement, Scheduler, SharedQueueScheduler, Stolen};
@@ -138,13 +141,6 @@ impl<S: Scheduler> Scheduler for Pooled<S> {
         match self {
             Pooled::Backend(s) => s.queued_len(),
             Pooled::Shared(s) => s.queued_len(),
-        }
-    }
-
-    fn on_worker_start(&self, rank: usize) {
-        match self {
-            Pooled::Backend(s) => s.on_worker_start(rank),
-            Pooled::Shared(s) => s.on_worker_start(rank),
         }
     }
 

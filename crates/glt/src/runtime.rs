@@ -17,7 +17,6 @@
 //! worker count → no oversubscription, backend-specific migration), at the
 //! cost that a unit never migrates after it first runs; see DESIGN.md §2.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -25,34 +24,15 @@ use std::thread::JoinHandle;
 use crossbeam_utils::Backoff;
 use parking_lot::Mutex;
 
-use crate::config::GltConfig;
+use crate::config::{GltConfig, WaitPolicy};
 use crate::counters::Counters;
+use crate::fault::Faults;
 use crate::park::{IdleWait, WaitSlot};
 use crate::sched::{Placement, Scheduler, SharedQueueScheduler};
 use crate::topology::Topology;
 use crate::unit::{UltHandle, Unit, UnitClass, UnitKind, UnitSlab, UnitState, WorkFn};
 
 static NEXT_RUNTIME_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// (runtime id, rank) registrations for the current thread. A thread is
-    /// usually registered with at most one or two runtimes (benchmarks that
-    /// sweep configurations create runtimes sequentially), so a small vec
-    /// with linear scan beats a hash map.
-    static RANKS: RefCell<Vec<(u64, usize)>> = const { RefCell::new(Vec::new()) };
-}
-
-fn register_rank(id: u64, rank: usize) {
-    RANKS.with(|r| r.borrow_mut().push((id, rank)));
-}
-
-fn unregister_rank(id: u64) {
-    RANKS.with(|r| r.borrow_mut().retain(|&(i, _)| i != id));
-}
-
-fn lookup_rank(id: u64) -> Option<usize> {
-    RANKS.with(|r| r.borrow().iter().rev().find(|&&(i, _)| i == id).map(|&(_, rk)| rk))
-}
 
 /// Object-safe view of a GLT runtime, independent of backend type.
 ///
@@ -62,6 +42,9 @@ fn lookup_rank(id: u64) -> Option<usize> {
 pub trait GltRuntime: Send + Sync {
     /// Backend name (`"argobots"`, `"qthreads"`, `"massivethreads"`, …).
     fn backend_name(&self) -> &'static str;
+    /// Process-unique id of this runtime instance: the key of its
+    /// per-thread [`crate::ctx`] frames.
+    fn id(&self) -> u64;
     /// Number of GLT_threads (including the registered rank-0 caller).
     fn num_threads(&self) -> usize;
     /// Rank of the calling thread, if it is a registered GLT_thread.
@@ -149,14 +132,16 @@ pub trait GltRuntime: Send + Sync {
     fn counters(&self) -> &Counters;
     /// The configuration this runtime was started with.
     fn config(&self) -> &GltConfig;
+    /// This instance's fault-injection set (see [`crate::fault`]).
+    fn faults(&self) -> &Faults;
 }
 
 struct Shared<S: Scheduler> {
-    id: u64,
     cfg: GltConfig,
     topo: Topology,
     sched: S,
     counters: Arc<Counters>,
+    faults: Arc<Faults>,
     unit_slab: UnitSlab,
     slots: Vec<Arc<WaitSlot>>,
     stop: AtomicBool,
@@ -257,6 +242,23 @@ impl<S: Scheduler> Shared<S> {
     fn run_unit(&self, rank: usize, u: &Unit) {
         u.run(rank);
         Counters::bump(&self.counters.units_executed, 1);
+        // Wake a parked joiner (passive policy only: active joiners never
+        // park). The fence pairs with the one in `Runtime::join`: either
+        // the joiner sees the unit done before parking, or this load sees
+        // its published rank.
+        if self.cfg.wait_policy == WaitPolicy::Passive {
+            std::sync::atomic::fence(Ordering::SeqCst);
+            if let Some(j) = u.0.joiner() {
+                self.slots[j].wake();
+            }
+        }
+    }
+
+    /// Register the calling thread as `rank` of runtime `id` in its
+    /// [`crate::ctx`].
+    fn enter_ctx(self: &Arc<Self>, id: u64, rank: usize) {
+        let waiter = Arc::new(WaiterHook { shared: Arc::clone(self), rank });
+        crate::ctx::enter(id, rank, waiter, Arc::clone(&self.faults));
     }
 }
 
@@ -288,6 +290,9 @@ impl<S: Scheduler> crate::coop::SyncWaiter for WaiterHook<S> {
 /// registered caller (rank 0). Dropping the runtime stops and joins the
 /// workers; any still-queued units are drained on the caller first.
 pub struct Runtime<S: Scheduler> {
+    /// Kept in the handle, not in `Shared`: every rank lookup reads it, and
+    /// `Shared` holds fields each worker writes on the fork path.
+    id: u64,
     shared: Arc<Shared<S>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -320,34 +325,29 @@ impl<S: Scheduler> Runtime<S> {
         let topo = cfg.resolved_topology();
         let counters = cfg.counters.clone().unwrap_or_else(|| Arc::new(Counters::new()));
         let shared = Arc::new(Shared {
-            id,
             cfg,
             topo,
             sched,
             counters,
+            faults: Arc::new(Faults::default()),
             unit_slab: UnitSlab::new(),
             slots,
             stop: AtomicBool::new(false),
             wake_rr: AtomicUsize::new(0),
             tasklets_native,
         });
-        register_rank(id, 0);
-        crate::coop::install_waiter(
-            id,
-            Arc::new(WaiterHook { shared: Arc::clone(&shared), rank: 0 }),
-        );
-        shared.sched.on_worker_start(0);
+        shared.enter_ctx(id, 0);
         let mut handles = Vec::with_capacity(n.saturating_sub(1));
         for rank in 1..n {
             let sh = Arc::clone(&shared);
             let h = std::thread::Builder::new()
                 .name(format!("glt-{}-{rank}", sh.sched.name()))
-                .spawn(move || worker_loop(&sh, rank))
+                .spawn(move || worker_loop(&sh, id, rank))
                 .expect("failed to spawn GLT worker");
             Counters::bump(&shared.counters.os_threads_created, 1);
             handles.push(h);
         }
-        Runtime { shared, workers: Mutex::new(handles) }
+        Runtime { id, shared, workers: Mutex::new(handles) }
     }
 
     fn create(&self, kind: UnitKind, placement: Placement, work: WorkFn) -> UltHandle {
@@ -478,13 +478,8 @@ impl<S: Scheduler> Runtime<S> {
     }
 }
 
-fn worker_loop<S: Scheduler>(shared: &Arc<Shared<S>>, rank: usize) {
-    register_rank(shared.id, rank);
-    crate::coop::install_waiter(
-        shared.id,
-        Arc::new(WaiterHook { shared: Arc::clone(shared), rank }),
-    );
-    shared.sched.on_worker_start(rank);
+fn worker_loop<S: Scheduler>(shared: &Arc<Shared<S>>, id: u64, rank: usize) {
+    shared.enter_ctx(id, rank);
     let mut idle = IdleWait::new(
         shared.cfg.wait_policy,
         shared.cfg.spin_before_park,
@@ -508,8 +503,7 @@ fn worker_loop<S: Scheduler>(shared: &Arc<Shared<S>>, rank: usize) {
     while let Some(u) = shared.take_work(rank, true) {
         shared.run_unit(rank, &u);
     }
-    crate::coop::uninstall_waiter(shared.id);
-    unregister_rank(shared.id);
+    crate::ctx::leave(id);
 }
 
 impl<S: Scheduler> GltRuntime for Runtime<S> {
@@ -517,12 +511,16 @@ impl<S: Scheduler> GltRuntime for Runtime<S> {
         self.shared.sched.name()
     }
 
+    fn id(&self) -> u64 {
+        self.id
+    }
+
     fn num_threads(&self) -> usize {
         self.shared.cfg.num_threads
     }
 
     fn self_rank(&self) -> Option<usize> {
-        lookup_rank(self.shared.id)
+        crate::ctx::rank(self.id)
     }
 
     fn ult_create(&self, work: WorkFn) -> UltHandle {
@@ -577,6 +575,13 @@ impl<S: Scheduler> GltRuntime for Runtime<S> {
         }
         match self.self_rank() {
             Some(rank) => {
+                // Publish this rank as the unit's joiner before the first
+                // done-check, so a passive park below is always woken by
+                // completion (see `Shared::run_unit`).
+                if self.shared.cfg.wait_policy == WaitPolicy::Passive {
+                    h.state().set_joiner(rank);
+                    std::sync::atomic::fence(Ordering::SeqCst);
+                }
                 // Help-first wait: run other ready units per backend policy.
                 let mut idle = IdleWait::new(
                     self.shared.cfg.wait_policy,
@@ -721,6 +726,10 @@ impl<S: Scheduler> GltRuntime for Runtime<S> {
     fn config(&self) -> &GltConfig {
         &self.shared.cfg
     }
+
+    fn faults(&self) -> &Faults {
+        &self.shared.faults
+    }
 }
 
 impl<S: Scheduler> Drop for Runtime<S> {
@@ -744,8 +753,7 @@ impl<S: Scheduler> Drop for Runtime<S> {
         for h in self.workers.lock().drain(..) {
             let _ = h.join();
         }
-        crate::coop::uninstall_waiter(self.shared.id);
-        unregister_rank(self.shared.id);
+        crate::ctx::leave(self.id);
     }
 }
 
@@ -965,15 +973,20 @@ mod tests {
     }
 
     #[test]
-    fn runtime_installs_sync_waiter_on_registered_threads() {
+    fn runtime_registers_a_ctx_frame_on_rank_zero() {
         let r = rt(2);
-        let w = crate::coop::current_waiter().expect("rank 0 must have a waiter installed");
-        assert!(!w.schedule_controlled(), "shared-queue scheduler is not token-controlled");
+        assert_eq!(crate::coop::current_runtime_id(), Some(r.id()), "rank 0 has a frame");
+        assert!(!crate::coop::schedule_controlled(), "shared-queue scheduler is not controlled");
         crate::coop::yield_to_scheduler(); // routes to the backend hook; must return
         crate::coop::with_sync_counters(|c| Counters::bump(&c.lock_spins, 3));
         assert_eq!(r.counters().snapshot().lock_spins, 3, "waiter charges this runtime");
+        r.faults().arm(crate::fault::Fault::TenantBleed);
+        assert_eq!(
+            crate::ctx::with_faults(|f| f.is_armed(crate::fault::Fault::TenantBleed)),
+            Some(true)
+        );
         drop(r);
-        assert!(crate::coop::current_waiter().is_none(), "drop must uninstall the waiter");
+        assert_eq!(crate::coop::current_runtime_id(), None, "drop must remove the frame");
     }
 
     #[test]

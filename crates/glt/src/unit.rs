@@ -82,6 +82,9 @@ pub struct UnitState {
     created_by: usize,
     /// Worker rank that executed the unit ([`NO_RANK`] until started).
     executed_by: AtomicUsize,
+    /// Rank of a joiner that may park on its wait slot until this unit
+    /// completes ([`NO_RANK`] = none); the runtime wakes it after the run.
+    joiner: AtomicUsize,
     /// Set once the scheduler has moved this pending unit into a pool it
     /// was not originally pushed to (stolen, rejected by a helper's
     /// region filter, and forwarded). A migrated unit showing up in some
@@ -137,6 +140,7 @@ impl UnitState {
             status: AtomicU8::new(ST_PENDING),
             created_by,
             executed_by: AtomicUsize::new(NO_RANK),
+            joiner: AtomicUsize::new(NO_RANK),
             migrated: AtomicBool::new(false),
             panic: Mutex::new(None),
             generation: 0,
@@ -164,6 +168,7 @@ impl UnitState {
         *self.status.get_mut() = ST_PENDING;
         self.created_by = created_by;
         *self.executed_by.get_mut() = NO_RANK;
+        *self.joiner.get_mut() = NO_RANK;
         *self.migrated.get_mut() = false;
         *self.panic.get_mut() = None;
         self.generation += 1;
@@ -198,6 +203,20 @@ impl UnitState {
     #[must_use]
     pub fn executed_by(&self) -> usize {
         self.executed_by.load(Ordering::Acquire)
+    }
+
+    /// Publish `rank` as the (single) joiner to wake on completion. The
+    /// caller orders this before its done-check with a `SeqCst` fence.
+    #[inline]
+    pub fn set_joiner(&self, rank: usize) {
+        self.joiner.store(rank, Ordering::Relaxed);
+    }
+
+    /// The published joiner, if any (read after a `SeqCst` fence).
+    #[inline]
+    #[must_use]
+    pub fn joiner(&self) -> Option<usize> {
+        Some(self.joiner.load(Ordering::Relaxed)).filter(|&r| r != NO_RANK)
     }
 
     /// Whether the pending unit has ever been forwarded into a pool it was

@@ -145,6 +145,11 @@ impl GltRuntime for AnyGlt {
     }
 
     #[inline]
+    fn id(&self) -> u64 {
+        dispatch!(self, rt => rt.id())
+    }
+
+    #[inline]
     fn num_threads(&self) -> usize {
         dispatch!(self, rt => rt.num_threads())
     }
@@ -251,6 +256,10 @@ impl GltRuntime for AnyGlt {
     #[inline]
     fn config(&self) -> &GltConfig {
         dispatch!(self, rt => rt.config())
+    }
+
+    fn faults(&self) -> &glt::Faults {
+        dispatch!(self, rt => rt.faults())
     }
 }
 

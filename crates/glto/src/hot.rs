@@ -156,7 +156,7 @@ fn member_loop(rt: &GltoRuntime, slot: &HotSlot) {
                     let team: &GltoTeam<'_> = unsafe { &*cmd.team };
                     let body: &RegionFn<'static> = unsafe { &*cmd.body };
                     let _active =
-                        ActiveTeamGuard::enter(team.rt().team_key(), Arc::clone(&cmd.lineage));
+                        ActiveTeamGuard::enter(team.rt().glt().id(), Arc::clone(&cmd.lineage));
                     run_region_member(team, cmd.tid, body);
                 }));
                 if let Err(p) = result {
@@ -286,7 +286,7 @@ pub(crate) fn try_run_hot(team: &GltoTeam<'_>, body: &RegionFn<'static>) -> bool
     // panic is deferred past the wait so the frames in `HotCmd` stay valid
     // for still-running members.
     let master = {
-        let _active = ActiveTeamGuard::enter(team.rt().team_key(), Arc::clone(team.lineage()));
+        let _active = ActiveTeamGuard::enter(team.rt().glt().id(), Arc::clone(team.lineage()));
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_region_member(team, 0, body)))
     };
     let mut sw = team.spin_wait();

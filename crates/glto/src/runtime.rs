@@ -18,11 +18,6 @@ pub struct GltoRuntime {
     criticals: Arc<CriticalRegistry>,
     backend: Backend,
     glt: AnyGlt,
-    /// Unique per-instance key scoping this runtime's thread-local team
-    /// bookkeeping (`glto::team::ACTIVE_TEAMS`): an OS thread hosting
-    /// frames for several coexisting runtimes keeps their team stacks
-    /// disjoint.
-    key: u64,
     /// Parked hot-ULT team (`GLTO_HOT_ULTS`, see [`crate::hot`]).
     hot: HotPool,
     /// Cross-mechanism nested-region handoff (see [`NestedHandoff`]).
@@ -89,24 +84,15 @@ impl GltoRuntime {
             ..GltConfig::default()
         };
         let glt = AnyGlt::start(backend, glt_cfg);
-        static NEXT_RUNTIME_KEY: std::sync::atomic::AtomicU64 =
-            std::sync::atomic::AtomicU64::new(1);
         Arc::new(GltoRuntime {
             cfg,
             icvs,
             criticals,
             backend,
             glt,
-            key: NEXT_RUNTIME_KEY.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             hot: HotPool::new(),
             nested_handoff: OnceLock::new(),
         })
-    }
-
-    /// The key under which this instance's team frames register in the
-    /// thread-local active-team stack (see [`crate::team`]).
-    pub(crate) fn team_key(&self) -> u64 {
-        self.key
     }
 
     /// Install the cross-mechanism nested handoff (at most once, before
@@ -255,5 +241,60 @@ impl OmpRuntime for GltoRuntime {
 
     fn retire_cached(&self) {
         self.retire_hot();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::team::ActiveTeamGuard;
+    use glt::{ctx, Fault};
+    use omp::OmpRuntimeExt;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// One OS thread is rank 0 of two runtimes: each runtime's rank, team
+    /// stack, nest-lock token and armed faults live in its own ctx frame,
+    /// and dropping the outer runtime first leaves the inner frame whole.
+    #[test]
+    fn two_runtimes_on_one_thread_keep_disjoint_frames() {
+        let a = GltoRuntime::new(Backend::Abt, OmpConfig::with_threads(2));
+        let token_a = ctx::nest_token();
+        let b = GltoRuntime::new(Backend::Abt, OmpConfig::with_threads(3));
+        let (ka, kb) = (a.glt().id(), b.glt().id());
+        assert_ne!(ka, kb);
+        assert_eq!((a.glt().self_rank(), b.glt().self_rank()), (Some(0), Some(0)));
+
+        // Ranks: A's worker is nobody in B.
+        let b_rank_on_a_worker = AtomicUsize::new(0);
+        a.parallel(|c| {
+            if c.thread_num() == 1 {
+                let r = b.glt().self_rank().unwrap_or(usize::MAX);
+                b_rank_on_a_worker.store(r, Ordering::SeqCst);
+            }
+        });
+        assert_eq!(b_rank_on_a_worker.load(Ordering::SeqCst), usize::MAX);
+
+        // Team stacks, nest tokens, faults: B (innermost) never sees A's.
+        let guard = ActiveTeamGuard::enter(ka, Arc::new(vec![7]));
+        assert_eq!(ctx::with_teams(ka, <[_]>::len), 1);
+        assert_eq!(ctx::with_teams(kb, <[_]>::len), 0);
+        let token_b = ctx::nest_token();
+        assert_ne!(token_a, token_b);
+        a.glt().faults().arm(Fault::LockLostWakeup);
+        assert_eq!(ctx::with_faults(|f| f.is_armed(Fault::LockLostWakeup)), Some(false));
+
+        // Drop A first: removal is by id, so B's frame stays intact.
+        drop(guard);
+        drop(a);
+        assert_eq!(glt::coop::current_runtime_id(), Some(kb));
+        assert_eq!(b.glt().self_rank(), Some(0));
+        assert_eq!(ctx::nest_token(), token_b);
+        let hits = AtomicUsize::new(0);
+        b.parallel(|_| {
+            hits.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(hits.load(Ordering::SeqCst), 3);
+        drop(b);
+        assert_eq!(glt::coop::current_runtime_id(), None);
     }
 }

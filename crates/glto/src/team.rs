@@ -46,35 +46,29 @@ unsafe impl Send for ForkCmd {}
 /// (sibling/deeper) team.
 static NEXT_TEAM_TAG: AtomicU64 = AtomicU64::new(1);
 
-thread_local! {
-    /// Lineages (ancestor-tag chains, own tag last) of the teams whose
-    /// member frames are live on this OS thread, innermost last, each
-    /// keyed by the owning runtime instance ([`GltoRuntime::team_key`]).
-    /// Pushed on entry to a member's body, popped on exit. The key is
-    /// what lets N coexisting runtime instances share OS threads (the
-    /// multi-tenant service substrate, cross-mechanism handoffs): nesting
-    /// decisions made on behalf of one runtime see only that runtime's
-    /// frames, never a co-tenant's.
-    static ACTIVE_TEAMS: std::cell::RefCell<Vec<(u64, std::sync::Arc<Vec<u64>>)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
 /// RAII: marks a team (with its whole ancestor lineage) active on this
-/// thread for the duration of one member-body execution.
-pub(crate) struct ActiveTeamGuard;
+/// thread for the duration of one member-body execution. The lineage —
+/// ancestor-tag chain, own tag last — goes on the team stack of the
+/// owning runtime's [`glt::ctx`] frame (keyed by the GLT runtime id), so
+/// N coexisting runtime instances sharing OS threads (the multi-tenant
+/// service substrate, cross-mechanism handoffs) keep disjoint stacks:
+/// nesting decisions made on behalf of one runtime see only that
+/// runtime's frames, never a co-tenant's. A thread the runtime never
+/// registered records nothing — it never helps that runtime's scheduler,
+/// so no nesting decision is ever made there.
+pub(crate) struct ActiveTeamGuard(Option<u64>);
 
 impl ActiveTeamGuard {
     pub(crate) fn enter(key: u64, lineage: std::sync::Arc<Vec<u64>>) -> ActiveTeamGuard {
-        ACTIVE_TEAMS.with(|t| t.borrow_mut().push((key, lineage)));
-        ActiveTeamGuard
+        ActiveTeamGuard(glt::ctx::push_team(key, lineage).then_some(key))
     }
 }
 
 impl Drop for ActiveTeamGuard {
     fn drop(&mut self) {
-        ACTIVE_TEAMS.with(|t| {
-            t.borrow_mut().pop();
-        });
+        if let Some(key) = self.0 {
+            glt::ctx::pop_team(key);
+        }
     }
 }
 
@@ -118,8 +112,7 @@ fn region_nesting_allowed(
     my_rank: usize,
     shared_queues: bool,
 ) -> bool {
-    ACTIVE_TEAMS.with(|t| {
-        let t = t.borrow();
+    glt::ctx::with_teams(key, |t| {
         let tag = u.tag();
         // The member's team must not be an ancestor — in the *global team
         // tree*, not merely this thread's stack — of any team active on
@@ -129,15 +122,8 @@ fn region_nesting_allowed(
         // master waits for the very frame beneath us). Each active entry
         // carries its full lineage, so one containment check covers both
         // "on my stack" and "ancestor of something on my stack".
-        let innermost_own = t
-            .iter()
-            .rev()
-            .find(|(k, _)| *k == key)
-            .map(|(_, l)| *l.last().expect("non-empty lineage"));
-        for (k, lineage) in t.iter() {
-            if *k != key {
-                continue;
-            }
+        let innermost_own = t.last().map(|l| *l.last().expect("non-empty lineage"));
+        for lineage in t {
             if lineage.contains(&tag) {
                 // Exception: the innermost current team itself, at a
                 // quiescent point (its body is provably past every
@@ -331,7 +317,7 @@ impl<'rt> GltoTeam<'rt> {
                 tid,
             };
             let lineage = std::sync::Arc::clone(&self.lineage);
-            let key = self.rt.team_key();
+            let key = self.rt.glt().id();
             let work: WorkFn = Box::new(move || {
                 let cmd = cmd;
                 // SAFETY: fork/join protocol (master joins all handles).
@@ -360,7 +346,7 @@ impl<'rt> GltoTeam<'rt> {
         Counters::bump(&counters.forks, 1);
         {
             let _active =
-                ActiveTeamGuard::enter(self.rt.team_key(), std::sync::Arc::clone(&self.lineage));
+                ActiveTeamGuard::enter(self.rt.glt().id(), std::sync::Arc::clone(&self.lineage));
             run_region_member(self, 0, body);
         }
         let mut sw = self.spin_wait();
@@ -391,7 +377,7 @@ impl<'rt> GltoTeam<'rt> {
         let glt = self.rt.glt();
         let Some(me) = glt.self_rank() else { return false };
         let shared = glt.config().shared_queues;
-        let key = self.rt.team_key();
+        let key = self.rt.glt().id();
         glt.help_once_filtered(&move |u, own| {
             region_nesting_allowed(key, u, own, false, me, shared)
         })
@@ -402,7 +388,7 @@ impl<'rt> GltoTeam<'rt> {
         let glt = self.rt.glt();
         let Some(me) = glt.self_rank() else { return false };
         let shared = glt.config().shared_queues;
-        let key = self.rt.team_key();
+        let key = self.rt.glt().id();
         glt.help_once_filtered(&move |u, own| region_nesting_allowed(key, u, own, true, me, shared))
     }
 }
@@ -552,111 +538,130 @@ mod tests {
         std::sync::Arc::new(tags.to_vec())
     }
 
-    /// Runtime key used by the single-runtime tests.
-    const RT: u64 = 1;
+    /// A one-thread GLT runtime: registers the test thread as its rank 0,
+    /// so team guards keyed by its id land on that ctx frame.
+    fn rt() -> glt::SharedRuntime {
+        glt::start_shared(glt::GltConfig::with_threads(1))
+    }
 
     #[test]
     fn unrelated_team_is_always_allowed() {
-        let _g = ActiveTeamGuard::enter(RT, lineage(&[1, 2]));
+        let r = rt();
+        let k = r.id();
+        let _g = ActiveTeamGuard::enter(k, lineage(&[1, 2]));
         let u = unit(99, 5);
-        assert!(region_nesting_allowed(RT, &u, false, false, 0, false));
-        assert!(region_nesting_allowed(RT, &u, true, true, 0, true));
+        assert!(region_nesting_allowed(k, &u, false, false, 0, false));
+        assert!(region_nesting_allowed(k, &u, true, true, 0, true));
     }
 
     #[test]
     fn ancestor_team_is_never_allowed() {
+        let r = rt();
+        let k = r.id();
         // Active frame of team 2 whose lineage includes team 1: a member
         // of team 1 (the parent) must never nest here.
-        let _g = ActiveTeamGuard::enter(RT, lineage(&[1, 2]));
+        let _g = ActiveTeamGuard::enter(k, lineage(&[1, 2]));
         let u = unit(1, 0);
-        assert!(!region_nesting_allowed(RT, &u, true, false, 0, false));
-        assert!(!region_nesting_allowed(RT, &u, false, true, 0, false));
-        assert!(!region_nesting_allowed(RT, &u, true, true, 0, false));
+        assert!(!region_nesting_allowed(k, &u, true, false, 0, false));
+        assert!(!region_nesting_allowed(k, &u, false, true, 0, false));
+        assert!(!region_nesting_allowed(k, &u, true, true, 0, false));
     }
 
     #[test]
     fn current_team_allowed_only_at_quiescence_or_as_own_fork() {
-        let _g = ActiveTeamGuard::enter(RT, lineage(&[1, 2]));
+        let r = rt();
+        let k = r.id();
+        let _g = ActiveTeamGuard::enter(k, lineage(&[1, 2]));
         let mine = unit(2, 7); // created by rank 7
                                // At a barrier-like wait, from a steal: never.
-        assert!(!region_nesting_allowed(RT, &mine, false, false, 7, false));
+        assert!(!region_nesting_allowed(k, &mine, false, false, 7, false));
         // At a barrier-like wait, own pool, own fork: the sole-runner case.
-        assert!(region_nesting_allowed(RT, &mine, true, false, 7, false));
+        assert!(region_nesting_allowed(k, &mine, true, false, 7, false));
         // ... but not if someone else forked it.
-        assert!(!region_nesting_allowed(RT, &mine, true, false, 3, false));
+        assert!(!region_nesting_allowed(k, &mine, true, false, 3, false));
         // ... and not in shared-queue mode (no pool ownership).
-        assert!(!region_nesting_allowed(RT, &mine, true, false, 7, true));
+        assert!(!region_nesting_allowed(k, &mine, true, false, 7, true));
         // ... and never once the unit has migrated between pools: it can
         // wander back into its creator's pool mid-region, and nesting it
         // there deadlocks two-barrier bodies (glto-det single-copy, seed 1).
         mine.mark_migrated();
-        assert!(!region_nesting_allowed(RT, &mine, true, false, 7, false));
+        assert!(!region_nesting_allowed(k, &mine, true, false, 7, false));
         // At a quiescent point: always, even migrated.
-        assert!(region_nesting_allowed(RT, &mine, false, true, 3, true));
+        assert!(region_nesting_allowed(k, &mine, false, true, 3, true));
     }
 
     #[test]
     fn deeper_frames_shadow_outer_current_team() {
+        let r = rt();
+        let k = r.id();
         // Stack: team 2 hosting a member of sibling team 9. Team 2 is no
         // longer the innermost current team; its members are "ancestor of
         // an active frame" from here and must be rejected even at
         // quiescent points.
-        let _g1 = ActiveTeamGuard::enter(RT, lineage(&[1, 2]));
-        let _g2 = ActiveTeamGuard::enter(RT, lineage(&[1, 9]));
+        let _g1 = ActiveTeamGuard::enter(k, lineage(&[1, 2]));
+        let _g2 = ActiveTeamGuard::enter(k, lineage(&[1, 9]));
         let u2 = unit(2, 0);
-        assert!(!region_nesting_allowed(RT, &u2, true, true, 0, false));
+        assert!(!region_nesting_allowed(k, &u2, true, true, 0, false));
         // The innermost team (9) keeps its own-fork allowance.
         let u9 = unit(9, 0);
-        assert!(region_nesting_allowed(RT, &u9, true, false, 0, false));
+        assert!(region_nesting_allowed(k, &u9, true, false, 0, false));
         // Team 1 (common ancestor) still rejected.
         let u1 = unit(1, 0);
-        assert!(!region_nesting_allowed(RT, &u1, false, true, 0, false));
+        assert!(!region_nesting_allowed(k, &u1, false, true, 0, false));
     }
 
     #[test]
     fn empty_stack_allows_everything() {
+        let r = rt();
+        let k = r.id();
         let u = unit(5, 0);
-        assert!(region_nesting_allowed(RT, &u, false, false, 0, false));
+        assert!(region_nesting_allowed(k, &u, false, false, 0, false));
     }
 
     #[test]
     fn guards_pop_on_drop() {
+        let r = rt();
+        let k = r.id();
         {
-            let _g = ActiveTeamGuard::enter(RT, lineage(&[42]));
+            let _g = ActiveTeamGuard::enter(k, lineage(&[42]));
             let u = unit(42, 1);
-            assert!(!region_nesting_allowed(RT, &u, false, false, 0, false));
+            assert!(!region_nesting_allowed(k, &u, false, false, 0, false));
         }
         // Guard dropped: team 42 no longer active.
         let u = unit(42, 1);
-        assert!(region_nesting_allowed(RT, &u, false, false, 0, false));
+        assert!(region_nesting_allowed(k, &u, false, false, 0, false));
     }
 
     #[test]
     fn co_tenant_frames_are_invisible() {
+        let (a, b) = (rt(), rt());
+        let (k1, k2) = (a.id(), b.id());
         // An OS thread hosting a frame of runtime 1 must not let that frame
         // influence nesting decisions made on behalf of runtime 2: each
         // tenant sees only its own team stack.
-        let _g = ActiveTeamGuard::enter(1, lineage(&[1, 2]));
+        let _g = ActiveTeamGuard::enter(k1, lineage(&[1, 2]));
         let u = unit(2, 0);
         // Under the owning runtime: the usual barrier-wait rejection.
-        assert!(!region_nesting_allowed(1, &u, false, false, 0, false));
+        assert!(!region_nesting_allowed(k1, &u, false, false, 0, false));
         // Under a co-tenant: the same tag is an unrelated lineage.
-        assert!(region_nesting_allowed(2, &u, false, false, 0, false));
+        assert!(region_nesting_allowed(k2, &u, false, false, 0, false));
     }
 
     #[test]
     fn innermost_own_is_per_runtime_not_per_stack() {
+        let (a, b) = (rt(), rt());
+        let (k1, k2) = (a.id(), b.id());
         // Stack: runtime 1's team 5 buried beneath runtime 2's team 9. For
         // runtime 1's decisions, team 5 is still the innermost *own* team
         // and keeps its sole-runner allowance — the co-tenant frame above
         // it does not shadow it.
-        let _g1 = ActiveTeamGuard::enter(1, lineage(&[5]));
-        let _g2 = ActiveTeamGuard::enter(2, lineage(&[9]));
+        let _g1 = ActiveTeamGuard::enter(k1, lineage(&[5]));
+        let _g2 = ActiveTeamGuard::enter(k2, lineage(&[9]));
         let u5 = unit(5, 0);
-        assert!(region_nesting_allowed(1, &u5, true, false, 0, false));
+        assert!(region_nesting_allowed(k1, &u5, true, false, 0, false));
         // And runtime 2's own innermost allowance is equally unaffected.
         let u9 = unit(9, 0);
-        assert!(region_nesting_allowed(2, &u9, true, false, 0, false));
+        assert!(region_nesting_allowed(k2, &u9, true, false, 0, false));
     }
 }
 

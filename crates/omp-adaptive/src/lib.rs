@@ -47,6 +47,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
+use glt::fault::{self, Fault};
 use glt::{Counters, GltRuntime};
 use glto::{Backend, GltoRuntime};
 use omp::{CriticalRegistry, Icvs, OmpConfig, OmpRuntime, RegionFn};
@@ -68,6 +69,19 @@ const PROBE_LIMIT: usize = 16;
 const STATE_EXPLORING: u8 = 0;
 const STATE_OS: u8 = 1;
 const STATE_ULT: u8 = 2;
+
+/// [`Fault::AdaptiveBadCommit`]: commit the losing mechanism instead of
+/// `honest`. Det mode ignores the seeded draw and pins the OS engine (the
+/// losing mechanism for every workload of the conformance suite); timed
+/// mode inverts the cost comparison, committing the mechanism the model
+/// itself measured as slower. Fires when the commit changes.
+fn bad_commit(honest: u8, det: bool) -> u8 {
+    let bad = if det || honest == STATE_ULT { STATE_OS } else { STATE_ULT };
+    if bad != honest {
+        fault::fire(Fault::AdaptiveBadCommit);
+    }
+    bad
+}
 
 /// The execution mechanism a callsite committed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -305,6 +319,13 @@ impl AdaptiveRuntime {
         self.ult.det_scheduler()
     }
 
+    /// The fault set faults are armed on: the ULT engine's GLT runtime,
+    /// whose ctx frame the master thread (where commits happen) carries.
+    #[must_use]
+    pub fn faults(&self) -> &glt::Faults {
+        self.ult.glt().faults()
+    }
+
     /// Named-critical registry shared by both engines.
     #[must_use]
     pub fn criticals(&self) -> &CriticalRegistry {
@@ -431,15 +452,10 @@ impl AdaptiveRuntime {
             // exercises — and a failing seed replays/shrinks — both
             // outcomes at every callsite.
             let d = self.ult.det_scheduler().expect("det commit without det backend");
-            let drawn =
-                if d.stepper().external_decision(callsite, 2) == 1 { STATE_ULT } else { STATE_OS };
-            if cfg!(feature = "planted-bad-commit") {
-                // Sabotage: ignore the draw, pin to the OS engine (the
-                // losing mechanism for every workload in this suite's
-                // single-core CI environment).
-                STATE_OS
+            if d.stepper().external_decision(callsite, 2) == 1 {
+                STATE_ULT
             } else {
-                drawn
+                STATE_OS
             }
         } else {
             let mean_os = slot.ns_os.load(Ordering::Relaxed) / u64::from(po.max(1));
@@ -454,19 +470,14 @@ impl AdaptiveRuntime {
             } else {
                 mean_os < mean_ult
             };
-            let honest = if os_wins { STATE_OS } else { STATE_ULT };
-            if cfg!(feature = "planted-bad-commit") {
-                // Sabotage: invert the cost comparison — commit to the
-                // mechanism the model itself measured as slower.
-                if honest == STATE_OS {
-                    STATE_ULT
-                } else {
-                    STATE_OS
-                }
+            if os_wins {
+                STATE_OS
             } else {
-                honest
+                STATE_ULT
             }
         };
+        let pick =
+            if fault::armed(Fault::AdaptiveBadCommit) { bad_commit(pick, det) } else { pick };
         if slot
             .state
             .compare_exchange(STATE_EXPLORING, pick, Ordering::AcqRel, Ordering::Acquire)

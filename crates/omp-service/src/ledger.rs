@@ -2,6 +2,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use glt::fault::{self, Fault};
 use glt::CounterSnapshot;
 use omp::{OmpRuntime, OmpRuntimeExt};
 use parking_lot::Mutex;
@@ -27,15 +28,16 @@ struct Slot {
 /// to exactly one slot — the conservation the isolation tests pin down
 /// (`sum(slot jobs) == jobs admitted`, per-slot counts exact).
 ///
-/// With `--features planted-tenant-bleed`, [`TenantLedger::charge`] routes
-/// the tenant id through a shared scratch cell with a scheduling point in
-/// the window: two tenants charging concurrently on one runtime can
-/// misdirect a charge (a read-yield-write lost update on the *identity*,
-/// the cross-tenant analog of the planted lost update). The deterministic
-/// seed sweep over [`colocated_accounting_probe`] must catch it.
+/// With [`Fault::TenantBleed`] armed on the charging thread's runtime,
+/// [`TenantLedger::charge`] routes the tenant id through a shared scratch
+/// cell with a scheduling point in the window: two tenants charging
+/// concurrently on one runtime can misdirect a charge (a read-yield-write
+/// lost update on the *identity*, the cross-tenant analog of the planted
+/// lost update). The deterministic seed sweep over
+/// [`colocated_accounting_probe`] must catch it.
 pub struct TenantLedger {
     slots: Vec<Slot>,
-    #[cfg(feature = "planted-tenant-bleed")]
+    /// The shared cell the injected bleed parks tenant ids in.
     scratch: AtomicU64,
 }
 
@@ -51,7 +53,6 @@ impl TenantLedger {
                     counters: Mutex::new(CounterSnapshot::default()),
                 })
                 .collect(),
-            #[cfg(feature = "planted-tenant-bleed")]
             scratch: AtomicU64::new(0),
         }
     }
@@ -67,15 +68,7 @@ impl TenantLedger {
     /// # Panics
     /// If `tenant` is out of range.
     pub fn charge(&self, tenant: usize, ok: bool, delta: &CounterSnapshot) {
-        #[cfg(feature = "planted-tenant-bleed")]
-        let tenant = {
-            // Planted bug: park the id in a cell every charger shares, hit
-            // a scheduling point, then trust the cell. Another tenant's
-            // charge landing in the window redirects this one.
-            self.scratch.store(tenant as u64, Ordering::SeqCst);
-            glt::coop::yield_to_scheduler();
-            self.scratch.load(Ordering::SeqCst) as usize
-        };
+        let tenant = if fault::armed(Fault::TenantBleed) { self.bleed(tenant) } else { tenant };
         let slot = &self.slots[tenant];
         if ok {
             slot.jobs_ok.fetch_add(1, Ordering::SeqCst);
@@ -84,6 +77,19 @@ impl TenantLedger {
         }
         let mut c = slot.counters.lock();
         *c = c.accumulate(delta);
+    }
+
+    /// [`Fault::TenantBleed`]: park the id in a cell every charger shares,
+    /// hit a scheduling point, then trust the cell. Another tenant's charge
+    /// landing in the window redirects this one (and fires).
+    fn bleed(&self, tenant: usize) -> usize {
+        self.scratch.store(tenant as u64, Ordering::SeqCst);
+        glt::coop::yield_to_scheduler();
+        let read = self.scratch.load(Ordering::SeqCst) as usize;
+        if read != tenant {
+            fault::fire(Fault::TenantBleed);
+        }
+        read
     }
 
     /// Read back every tenant's totals.
@@ -112,10 +118,10 @@ impl TenantLedger {
 /// The det-sweepable shape of the cross-tenant accounting hazard: `tenants`
 /// tenants complete `jobs_per_tenant` jobs each *as concurrent tasks on one
 /// runtime*, every completion charging its own slot. Returns `true` iff the
-/// ledger ends exact — every slot holds exactly its own jobs. With the
-/// planted bleed compiled in, seeded schedules that interleave two charges
-/// inside the scratch window misdirect one, and the probe returns `false`;
-/// clean builds must pass on every seed.
+/// ledger ends exact — every slot holds exactly its own jobs. With
+/// [`Fault::TenantBleed`] armed on `rt`, seeded schedules that interleave
+/// two charges inside the scratch window misdirect one, and the probe
+/// returns `false`; unarmed runtimes must pass on every seed.
 #[must_use]
 pub fn colocated_accounting_probe(
     rt: &dyn OmpRuntime,
@@ -161,7 +167,6 @@ mod tests {
         assert_eq!(l.jobs_charged(), 3);
     }
 
-    #[cfg(not(feature = "planted-tenant-bleed"))]
     #[test]
     fn clean_probe_is_exact_on_a_real_runtime() {
         let rt = workloads::RuntimeKind::GltoAbt.build(omp::OmpConfig::with_threads(2));

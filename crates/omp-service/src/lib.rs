@@ -15,9 +15,9 @@
 //!   from `crates/workloads` (UTS / CG / Clover / a task burst), a thread
 //!   budget, and a [`workloads::RuntimeKind`] choice.
 //! * [`TenantLedger`] — per-tenant accounting (job verdicts + accumulated
-//!   counter deltas), the state the planted cross-tenant bleed
-//!   (`--features planted-tenant-bleed`) corrupts and the deterministic
-//!   seed sweep must catch.
+//!   counter deltas), the state the injected cross-tenant bleed
+//!   (`glt::Fault::TenantBleed`, armed per runtime) corrupts and the
+//!   deterministic seed sweep must catch.
 //! * Service counters on the substrate's own [`glt::Counters`] block —
 //!   `jobs_admitted` / `jobs_queued` / `jobs_rejected` /
 //!   `tenant_steals_leaked` — with conservation laws checked by

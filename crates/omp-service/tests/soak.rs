@@ -7,8 +7,6 @@
 //! zero — plus a det-seeded soak proving the whole service replays under
 //! the deterministic backend.
 
-#![cfg(not(feature = "planted-tenant-bleed"))]
-
 use omp_service::{latency_stats, JobSpec, ServiceConfig, Substrate, Workload};
 use workloads::RuntimeKind;
 

@@ -49,8 +49,6 @@ pub use barrier::CentralBarrier;
 pub use critical::CriticalRegistry;
 pub use ctx::{region_epilogue, run_region_member, OrderedScope, ParCtx, TaskFlags};
 pub use env::{Icvs, OmpConfig, Places, ProcBind};
-#[cfg(feature = "planted-lost-wakeup")]
-pub use lock::{plant_drop_one, planted_repairs};
 pub use lock::{LockKind, OmpLock, OmpNestLock};
 pub use runtime::{
     callsite_id, wtime, NestedHandoff, OmpRuntime, OmpRuntimeExt, RegionFn, TaskGroup, TaskMeta,

@@ -37,6 +37,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use glt::coop;
+use glt::fault::{self, Fault};
 use glt::{Counters, SpinWait};
 use parking_lot::Mutex;
 
@@ -83,71 +84,6 @@ impl LockKind {
     }
 }
 
-// ------------------------------------------------- planted lost-wakeup bug
-//
-// Test-only fault injection (`--features planted-lost-wakeup`): when armed,
-// the next MCS release pops a waiter from the queue *without* granting it —
-// a classic lost wakeup. A victim-side backstop detects the orphaned node
-// after ~64 yields, repairs it (the hand-off left the lock assigned to the
-// victim, so it may simply proceed) and bumps a repair counter; the
-// conformance suite's planted case fails iff a repair happened, which is
-// what the 64-seed deterministic sweep must catch, replay, and shrink.
-//
-// The arming and repair state is **per runtime instance**, keyed by the
-// calling thread's innermost registered runtime
-// (`glt::coop::current_runtime_id`): under the multi-tenant service layer
-// N independent `OmpRuntime` instances coexist in one process, and a
-// process-global armed flag would let one tenant's fault arming fire — or
-// be consumed — inside another tenant's run.
-
-#[cfg(feature = "planted-lost-wakeup")]
-mod planted {
-    use std::sync::atomic::{AtomicBool, AtomicU64};
-    use std::sync::{Arc, Mutex, OnceLock};
-
-    /// One runtime instance's fault-injection state.
-    #[derive(Default)]
-    pub struct Cell {
-        pub armed: AtomicBool,
-        pub repairs: AtomicU64,
-    }
-
-    fn registry() -> &'static Mutex<Vec<(Option<u64>, Arc<Cell>)>> {
-        static REGISTRY: OnceLock<Mutex<Vec<(Option<u64>, Arc<Cell>)>>> = OnceLock::new();
-        REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-    }
-
-    /// The fault cell of the calling thread's runtime instance (threads
-    /// registered with no runtime share one fallback cell), created on
-    /// first use.
-    pub fn current_cell() -> Arc<Cell> {
-        let rid = glt::coop::current_runtime_id();
-        let mut reg = registry().lock().expect("planted registry poisoned");
-        if let Some((_, cell)) = reg.iter().find(|(r, _)| *r == rid) {
-            return Arc::clone(cell);
-        }
-        let cell = Arc::new(Cell::default());
-        reg.push((rid, Arc::clone(&cell)));
-        cell
-    }
-}
-
-/// Arm the planted bug **for the calling thread's runtime instance**: the
-/// next contended MCS release by one of that runtime's threads drops its
-/// waiter. Arming never leaks into coexisting runtime instances.
-#[cfg(feature = "planted-lost-wakeup")]
-pub fn plant_drop_one() {
-    planted::current_cell().armed.store(true, Ordering::SeqCst);
-}
-
-/// Number of lost wakeups the victim backstop has repaired so far, scoped
-/// like [`plant_drop_one`] to the calling thread's runtime instance.
-#[cfg(feature = "planted-lost-wakeup")]
-#[must_use]
-pub fn planted_repairs() -> u64 {
-    planted::current_cell().repairs.load(Ordering::SeqCst)
-}
-
 /// One MCS waiter's wait word. Cache-line padded so neighbouring waiters'
 /// grant flags never share a line (the point of MCS: each waiter spins on
 /// private state).
@@ -164,7 +100,8 @@ struct McsInner {
     /// Recycled nodes: a waiter returns its node here after being granted,
     /// so steady-state contention allocates nothing.
     free: Vec<Arc<McsNode>>,
-    #[cfg(feature = "planted-lost-wakeup")]
+    /// The waiter a [`Fault::LockLostWakeup`] release popped without
+    /// granting, until its backstop repairs it.
     dropped: Option<Arc<McsNode>>,
 }
 
@@ -282,10 +219,9 @@ impl OmpLock {
             spins += 1;
             if sw.wait() {
                 yields += 1;
-                // Victim backstop for the planted lost wakeup: after ~64
+                // Victim backstop for the injected lost wakeup: after ~64
                 // fruitless yields, check whether a release orphaned us.
-                #[cfg(feature = "planted-lost-wakeup")]
-                if yields % 64 == 0 {
+                if fault::ENABLED && yields % 64 == 0 {
                     let mut g = self.mcs.lock();
                     if g.dropped.as_ref().is_some_and(|d| Arc::ptr_eq(d, &node)) {
                         // The faulty release assigned us the lock (held
@@ -293,8 +229,8 @@ impl OmpLock {
                         // repair and proceed as the holder.
                         g.dropped = None;
                         g.free.push(Arc::clone(&node));
-                        planted::current_cell().repairs.fetch_add(1, Ordering::SeqCst);
                         drop(g);
+                        fault::fire(Fault::LockLostWakeup);
                         coop::with_sync_counters(|c| {
                             Counters::bump(&c.lock_spins, spins);
                             Counters::bump(&c.lock_yields, yields);
@@ -323,11 +259,9 @@ impl OmpLock {
                 let mut g = self.mcs.lock();
                 debug_assert!(g.held, "unset of an unheld omp lock");
                 if let Some(node) = g.queue.pop_front() {
-                    #[cfg(feature = "planted-lost-wakeup")]
-                    if planted::current_cell().armed.swap(false, Ordering::SeqCst)
-                        && g.dropped.is_none()
-                    {
-                        // Planted bug: drop the waiter without granting.
+                    if g.dropped.is_none() && fault::take(Fault::LockLostWakeup) {
+                        // Injected bug: drop the waiter without granting.
+                        // The victim's backstop repairs it and fires.
                         g.dropped = Some(node);
                         return;
                     }
@@ -369,58 +303,11 @@ impl OmpLock {
     }
 }
 
-/// Nonzero owner token for nest-lock ownership (0 is reserved for
-/// "unowned", so a plain atomic load can do the owner check).
-///
-/// Tokens are allocated from **per-runtime namespaces** keyed by the
-/// calling thread's innermost registered runtime
-/// ([`glt::coop::current_runtime_id`]; threads registered with no runtime —
-/// external submitters, pthread-style pool members — share one fallback
-/// namespace). A process-global counter was the last piece of cross-tenant
-/// mutable lock state; scoping it means N coexisting `OmpRuntime` instances
-/// allocate independently, while the namespace-slot high bits keep tokens
-/// collision-free even for a nest lock shared across instances. Within one
-/// namespace a thread's token is stable for the namespace's lifetime, which
-/// preserves the per-OS-thread ownership model (help-first units never
-/// migrate mid-execution, so thread identity is stable across a hold).
-fn thread_token() -> u64 {
-    use std::cell::RefCell;
-    use std::sync::Mutex;
-    /// Sequence bits per namespace; the slot index occupies the bits above.
-    const SEQ_BITS: u32 = 40;
-    /// `(runtime id, next sequence)` per namespace. The *slot index*, not
-    /// the raw runtime id, forms the token's high bits, so arbitrary ids
-    /// can never mint colliding tokens.
-    static NAMESPACES: Mutex<Vec<(Option<u64>, u64)>> = Mutex::new(Vec::new());
-    thread_local! {
-        /// Tokens this thread already holds, per runtime namespace.
-        static TOKENS: RefCell<Vec<(Option<u64>, u64)>> = const { RefCell::new(Vec::new()) };
-    }
-    let rid = coop::current_runtime_id();
-    TOKENS.with(|t| {
-        if let Some(&(_, tok)) = t.borrow().iter().find(|(r, _)| *r == rid) {
-            return tok;
-        }
-        let mut ns = NAMESPACES.lock().expect("token namespaces poisoned");
-        let slot = match ns.iter().position(|(r, _)| *r == rid) {
-            Some(s) => s,
-            None => {
-                ns.push((rid, 1));
-                ns.len() - 1
-            }
-        };
-        let seq = ns[slot].1;
-        ns[slot].1 += 1;
-        let tok = ((slot as u64 + 1) << SEQ_BITS) | seq;
-        t.borrow_mut().push((rid, tok));
-        tok
-    })
-}
-
 /// A nestable OpenMP lock (`omp_nest_lock_t`): the owner may re-acquire;
 /// `unset` decrements the nesting count.
 ///
-/// Ownership is per OS thread; in the GLTO help-first model a unit never
+/// Ownership is per OS thread, scoped to the runtime the thread works for
+/// ([`glt::ctx::nest_token`]); in the GLTO help-first model a unit never
 /// migrates mid-execution, so thread identity is stable across a hold.
 ///
 /// Built over [`OmpLock`], so the contended path inherits the
@@ -461,7 +348,7 @@ impl OmpNestLock {
 
     /// `omp_set_nest_lock`: acquire or re-enter; returns nesting depth.
     pub fn set(&self) -> usize {
-        let me = thread_token();
+        let me = glt::ctx::nest_token();
         if self.owner.load(Ordering::Acquire) == me {
             return self.depth.fetch_add(1, Ordering::Relaxed) + 1;
         }
@@ -473,7 +360,7 @@ impl OmpNestLock {
 
     /// `omp_unset_nest_lock`: returns remaining depth (0 = released).
     pub fn unset(&self) -> usize {
-        let me = thread_token();
+        let me = glt::ctx::nest_token();
         assert_eq!(self.owner.load(Ordering::Acquire), me, "unset by non-owner");
         let d = self.depth.fetch_sub(1, Ordering::Relaxed) - 1;
         if d == 0 {
@@ -487,7 +374,7 @@ impl OmpNestLock {
 
     /// `omp_test_nest_lock`: non-blocking; returns new depth or 0.
     pub fn test(&self) -> usize {
-        let me = thread_token();
+        let me = glt::ctx::nest_token();
         if self.owner.load(Ordering::Acquire) == me {
             return self.depth.fetch_add(1, Ordering::Relaxed) + 1;
         }
@@ -672,80 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn nest_lock_tokens_are_scoped_per_runtime_namespace() {
-        // One OS thread working on behalf of different runtime instances
-        // must present a different (but stable) owner token under each, and
-        // tokens from distinct namespaces never collide.
-        let w: Arc<dyn coop::SyncWaiter> = Arc::new(TestWaiter { counters: Counters::new() });
-        let fallback = thread_token();
-        coop::install_waiter(9100, Arc::clone(&w));
-        let under_a = thread_token();
-        coop::uninstall_waiter(9100);
-        coop::install_waiter(9101, Arc::clone(&w));
-        let under_b = thread_token();
-        coop::uninstall_waiter(9101);
-        assert_ne!(fallback, 0, "tokens are nonzero (0 means unowned)");
-        assert_ne!(under_a, 0);
-        assert_ne!(under_b, 0);
-        assert_ne!(under_a, fallback, "runtime namespace differs from fallback");
-        assert_ne!(under_a, under_b, "distinct runtimes get distinct namespaces");
-        assert_eq!(fallback, thread_token(), "fallback token is stable");
-        coop::install_waiter(9100, Arc::clone(&w));
-        assert_eq!(under_a, thread_token(), "per-runtime token is stable");
-        coop::uninstall_waiter(9100);
-    }
-
-    #[cfg(feature = "planted-lost-wakeup")]
-    #[test]
-    fn planted_arming_is_scoped_per_runtime() {
-        // Arm the fault under runtime 9201, then run a fully contended MCS
-        // storm under runtime 9202: the foreign arming must neither fire
-        // nor be consumed there. Back under 9201, it is still pending and
-        // fires on the next contended release.
-        let w1: Arc<dyn coop::SyncWaiter> = Arc::new(TestWaiter { counters: Counters::new() });
-        let w2: Arc<dyn coop::SyncWaiter> = Arc::new(TestWaiter { counters: Counters::new() });
-        coop::install_waiter(9201, Arc::clone(&w1));
-        plant_drop_one();
-        coop::uninstall_waiter(9201);
-
-        coop::install_waiter(9202, Arc::clone(&w2));
-        let l = Arc::new(OmpLock::with_kind(LockKind::Mcs, 4));
-        l.set();
-        let l2 = l.clone();
-        let w2b = Arc::clone(&w2);
-        let t = std::thread::spawn(move || {
-            coop::install_waiter(9202, w2b);
-            l2.with(|| {});
-            coop::uninstall_waiter(9202);
-        });
-        while l.mcs.lock().queue.is_empty() {
-            std::thread::yield_now();
-        }
-        l.unset();
-        t.join().unwrap();
-        assert_eq!(planted_repairs(), 0, "runtime 9202 must not see 9201's arming");
-        coop::uninstall_waiter(9202);
-
-        coop::install_waiter(9201, Arc::clone(&w1));
-        let l = Arc::new(OmpLock::with_kind(LockKind::Mcs, 4));
-        l.set();
-        let l2 = l.clone();
-        let w1b = Arc::clone(&w1);
-        let t = std::thread::spawn(move || {
-            coop::install_waiter(9201, w1b);
-            l2.with(|| {});
-            coop::uninstall_waiter(9201);
-        });
-        while l.mcs.lock().queue.is_empty() {
-            std::thread::yield_now();
-        }
-        l.unset();
-        t.join().unwrap();
-        assert_eq!(planted_repairs(), 1, "arming fires in the runtime that armed it");
-        coop::uninstall_waiter(9201);
-    }
-
-    #[test]
     fn slow_paths_charge_runtime_counters() {
         for kind in kinds() {
             let l = Arc::new(OmpLock::with_kind(kind, 4));
@@ -754,9 +567,9 @@ mod tests {
             let l2 = l.clone();
             let w2 = Arc::clone(&w);
             let t = std::thread::spawn(move || {
-                coop::install_waiter(9000, w2);
+                glt::ctx::enter(9000, 1, w2, Arc::default());
                 l2.with(|| {});
-                coop::uninstall_waiter(9000);
+                glt::ctx::leave(9000);
             });
             // Give the waiter time to enter the slow path, then release.
             std::thread::sleep(std::time::Duration::from_millis(20));

@@ -81,20 +81,19 @@ impl LoopState {
         // not block in the kernel waiting for their ticket: the member
         // owning the predecessor iteration may be suspended at a scheduling
         // decision and only runs if this thread yields its turn. They probe
-        // with cooperative yields; everyone else waits on the condvar.
-        let mut g = match glt::coop::coop_acquire(|| {
-            let g = self.ordered_next.lock();
-            (*g == iter).then_some(g)
-        }) {
-            Some(g) => g,
-            None => {
-                let mut g = self.ordered_next.lock();
-                while *g != iter {
-                    self.ordered_cv.wait(&mut g);
-                }
-                g
+        // with scheduler yields; everyone else waits on the condvar.
+        let mut g = self.ordered_next.lock();
+        if glt::coop::schedule_controlled() {
+            while *g != iter {
+                drop(g);
+                glt::coop::yield_to_scheduler();
+                g = self.ordered_next.lock();
             }
-        };
+        } else {
+            while *g != iter {
+                self.ordered_cv.wait(&mut g);
+            }
+        }
         let out = f();
         *g = iter + 1;
         self.ordered_cv.notify_all();
